@@ -20,7 +20,8 @@
 use crate::cbfrp::{Cbfrp, ServiceClass};
 use crate::classify::Classifier;
 use crate::qos;
-use crate::queues::{classify, PageClass, PromotionQueues};
+use crate::queues::{classify, heat_key, PageClass, PromotionQueues};
+use std::cmp::{Ordering, Reverse};
 use vulcan_migrate::{MechanismConfig, SyncOutcome};
 use vulcan_runtime::{SystemState, TieringPolicy};
 use vulcan_sim::{FaultSite, TierKind};
@@ -260,20 +261,16 @@ impl VulcanPolicy {
         }
 
         // --- Build this quantum's promotion queues -------------------
-        let candidates: Vec<(Vpn, crate::queues::PageClass, f64)> = {
+        let candidates: Vec<(Vpn, PageClass, f64)> = {
             let ws = &state.workloads[w];
             ws.heat()
                 .iter()
-                .filter(|(vpn, s)| {
-                    s.heat >= self.cfg.heat_threshold
-                        && ws.process.space.pte(*vpn).tier() == Some(TierKind::Slow)
-                        && !ws.async_migrator.is_inflight(*vpn)
-                })
+                .filter(|(_, s)| s.heat >= self.cfg.heat_threshold)
                 .filter_map(|(vpn, s)| {
-                    ws.process
-                        .space
-                        .owner(vpn)
-                        .map(|o| (vpn, classify(o, &s), s.heat))
+                    // One PTE read gives both the tier and the owner.
+                    let pte = ws.process.space.pte(vpn);
+                    (pte.tier() == Some(TierKind::Slow) && !ws.async_migrator.is_inflight(vpn))
+                        .then(|| (vpn, classify(pte.owner(), &s), s.heat))
                 })
                 .collect()
         };
@@ -343,7 +340,7 @@ impl VulcanPolicy {
         // suffices (every lower-tier access is already a miss).
         let headroom = state.machine.free_pages(TierKind::Slow) as usize;
         if headroom > 0 {
-            let mut hot: Vec<(Vpn, f64)> = {
+            let hot: Vec<(Vpn, f64)> = {
                 let ws = &state.workloads[w];
                 ws.heat()
                     .iter()
@@ -355,12 +352,7 @@ impl VulcanPolicy {
                     .map(|(vpn, s)| (vpn, s.heat))
                     .collect()
             };
-            hot.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .expect("heat values are finite (decayed EMA of sample counts)")
-                    .then(a.0 .0.cmp(&b.0 .0))
-            });
-            hot.truncate(headroom.min(self.cfg.promotion_budget));
+            let hot = hottest(hot, headroom.min(self.cfg.promotion_budget));
             if !hot.is_empty() {
                 let pages: Vec<Vpn> = hot.into_iter().map(|(v, _)| v).collect();
                 state.migrate_background(w, &pages, TierKind::Slow, &mech);
@@ -386,28 +378,81 @@ impl VulcanPolicy {
     /// pages; keep pairs where the candidate is `swap_margin`× hotter.
     fn plan_swaps(&self, state: &SystemState, w: usize) -> Vec<(Vpn, Vpn)> {
         let ws = &state.workloads[w];
-        let mut cold = coldest_pages_in(state, w, TierKind::Fast, self.cfg.swap_budget);
-        cold.reverse(); // coldest last → pop coldest first
-        let mut hot: Vec<(Vpn, f64)> = (0..4)
+        let cold = coldest_pages_in(state, w, TierKind::Fast, self.cfg.swap_budget);
+        let queued = (0..4)
             .flat_map(|l| self.queues[w].level(l))
             .map(|v| (v, ws.heat().get(v).heat))
             .collect();
-        hot.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("heat values are finite (decayed EMA of sample counts)")
-        });
-        let mut swaps = Vec::new();
-        for (hv, hh) in hot.into_iter().take(self.cfg.swap_budget) {
-            let Some(&(cv, ch)) = cold.last() else { break };
-            if hh >= self.cfg.swap_margin * ch.max(1e-9) {
-                swaps.push((cv, hv));
-                cold.pop();
-            } else {
-                break;
-            }
-        }
-        swaps
+        let hot = hottest_queued(queued, self.cfg.swap_budget);
+        pair_swaps(hot, cold, self.cfg.swap_margin)
     }
+}
+
+/// Pair hot candidates (hottest first) with cold pages (coldest first)
+/// while each candidate is `margin`× hotter than its partner.
+fn pair_swaps(hot: Vec<(Vpn, f64)>, mut cold: Vec<(Vpn, f64)>, margin: f64) -> Vec<(Vpn, Vpn)> {
+    cold.reverse(); // coldest last → pop coldest first
+    let mut swaps = Vec::new();
+    for (hv, hh) in hot {
+        let Some(&(cv, ch)) = cold.last() else { break };
+        if hh >= margin * ch.max(1e-9) {
+            swaps.push((cv, hv));
+            cold.pop();
+        } else {
+            break;
+        }
+    }
+    swaps
+}
+
+/// Keep the `k` first elements of `v` under `cmp`, sorted — what a full
+/// sort plus `truncate(k)` returns, but only the kept prefix is sorted
+/// after a linear-time selection. `cmp` must be a total order (no two
+/// elements compare equal): the selection is unstable, and only a total
+/// order makes its result independent of the input's arrangement.
+fn keep_first<T>(v: &mut Vec<T>, k: usize, mut cmp: impl FnMut(&T, &T) -> Ordering) {
+    if k == 0 {
+        v.clear();
+        return;
+    }
+    if k < v.len() {
+        v.select_nth_unstable_by(k - 1, &mut cmp);
+        v.truncate(k);
+    }
+    v.sort_unstable_by(cmp);
+}
+
+/// The `n` hottest queued pages, hottest first, from `queued` in queue
+/// order. Equal heats keep their queue order, as the stable sort this
+/// replaces did: the queue position completes (heat descending,
+/// position) into a total order even when `note_failed` left a VPN
+/// queued at two levels.
+fn hottest_queued(queued: Vec<(Vpn, f64)>, n: usize) -> Vec<(Vpn, f64)> {
+    let mut ranked: Vec<(Reverse<u64>, usize, Vpn, f64)> = queued
+        .into_iter()
+        .enumerate()
+        .map(|(pos, (v, h))| (Reverse(heat_key(h)), pos, v, h))
+        .collect();
+    keep_first(&mut ranked, n, |a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+    ranked.into_iter().map(|(_, _, v, h)| (v, h)).collect()
+}
+
+/// The `n` coldest of `pages` (distinct VPNs), coldest first under the
+/// total order (heat, VPN).
+fn coldest(mut pages: Vec<(Vpn, f64)>, n: usize) -> Vec<(Vpn, f64)> {
+    keep_first(&mut pages, n, |a, b| {
+        heat_key(a.1).cmp(&heat_key(b.1)).then(a.0 .0.cmp(&b.0 .0))
+    });
+    pages
+}
+
+/// The `n` hottest of `pages` (distinct VPNs), hottest first under the
+/// total order (heat descending, VPN).
+fn hottest(mut pages: Vec<(Vpn, f64)>, n: usize) -> Vec<(Vpn, f64)> {
+    keep_first(&mut pages, n, |a, b| {
+        heat_key(b.1).cmp(&heat_key(a.1)).then(a.0 .0.cmp(&b.0 .0))
+    });
+    pages
 }
 
 /// The `n` coldest fast-resident pages of workload `w`.
@@ -421,20 +466,14 @@ fn coldest_fast_pages(state: &SystemState, w: usize, n: usize) -> Vec<Vpn> {
 /// The `n` coldest pages of workload `w` resident in `tier`, with heat.
 fn coldest_pages_in(state: &SystemState, w: usize, tier: TierKind, n: usize) -> Vec<(Vpn, f64)> {
     let ws = &state.workloads[w];
-    let mut pages: Vec<(Vpn, f64)> = ws
+    let pages: Vec<(Vpn, f64)> = ws
         .process
         .space
         .mapped_vpns()
         .filter(|&v| ws.process.space.pte(v).tier() == Some(tier))
         .map(|v| (v, ws.heat().get(v).heat))
         .collect();
-    pages.sort_by(|a, b| {
-        a.1.partial_cmp(&b.1)
-            .expect("heat values are finite (decayed EMA of sample counts)")
-            .then(a.0 .0.cmp(&b.0 .0))
-    });
-    pages.truncate(n);
-    pages
+    coldest(pages, n)
 }
 
 impl TieringPolicy for VulcanPolicy {
@@ -792,6 +831,120 @@ mod tests {
         assert_eq!(p.classes().unwrap().len(), 2);
         assert_eq!(p.credits().unwrap(), &[0, 0]);
         assert_eq!(p.name(), "vulcan");
+    }
+}
+
+#[cfg(test)]
+mod selection_tests {
+    use super::*;
+
+    /// The coldest-page selection this crate shipped before top-k: a full
+    /// sort under (heat, VPN), then truncate. Kept as the reference.
+    fn coldest_reference(mut pages: Vec<(Vpn, f64)>, n: usize) -> Vec<(Vpn, f64)> {
+        pages.sort_by(|a, b| {
+            a.1.partial_cmp(&b.1)
+                .expect("heat values are finite")
+                .then(a.0 .0.cmp(&b.0 .0))
+        });
+        pages.truncate(n);
+        pages
+    }
+
+    /// The reference chain-promotion order: full sort under (heat
+    /// descending, VPN), then truncate.
+    fn hottest_reference(mut pages: Vec<(Vpn, f64)>, n: usize) -> Vec<(Vpn, f64)> {
+        pages.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .expect("heat values are finite")
+                .then(a.0 .0.cmp(&b.0 .0))
+        });
+        pages.truncate(n);
+        pages
+    }
+
+    /// The reference `plan_swaps` body: coldest pages by full sort, every
+    /// queued candidate stable-sorted by heat alone, the first `budget`
+    /// candidates paired off.
+    fn plan_swaps_reference(
+        queued: Vec<(Vpn, f64)>,
+        fast: Vec<(Vpn, f64)>,
+        budget: usize,
+        margin: f64,
+    ) -> Vec<(Vpn, Vpn)> {
+        let mut cold = coldest_reference(fast, budget);
+        cold.reverse();
+        let mut hot = queued;
+        hot.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("heat values are finite"));
+        let mut swaps = Vec::new();
+        for (hv, hh) in hot.into_iter().take(budget) {
+            let Some(&(cv, ch)) = cold.last() else { break };
+            if hh >= margin * ch.max(1e-9) {
+                swaps.push((cv, hv));
+                cold.pop();
+            } else {
+                break;
+            }
+        }
+        swaps
+    }
+
+    /// Heats with plenty of ties.
+    const HEATS: [f64; 7] = [0.0, 0.0, 0.25, 1.0, 1.0, 2.5, 9.0];
+
+    fn pages(raw: &[(u64, usize)], distinct: bool) -> Vec<(Vpn, f64)> {
+        let mut seen = std::collections::BTreeSet::new();
+        raw.iter()
+            .filter(|&&(v, _)| !distinct || seen.insert(v))
+            .map(|&(v, h)| (Vpn(v), HEATS[h]))
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Top-k selection returns exactly what the full sorts returned,
+        /// for `n = 0`, `n ≥ len` and everything between, with heat ties.
+        #[test]
+        fn selections_match_full_sort_references(
+            raw in proptest::collection::vec((0u64..64, 0usize..7), 0..80),
+            n in 0usize..90,
+        ) {
+            let distinct = pages(&raw, true);
+            proptest::prop_assert_eq!(
+                coldest(distinct.clone(), n),
+                coldest_reference(distinct.clone(), n)
+            );
+            proptest::prop_assert_eq!(
+                hottest(distinct.clone(), n),
+                hottest_reference(distinct, n)
+            );
+        }
+
+        /// Swap planning pairs the same pages as the reference, including
+        /// a VPN queued at two levels, equal heats across the queue and
+        /// `swap_budget = 0`.
+        #[test]
+        fn swap_pairs_match_the_stable_sort_reference(
+            queued in proptest::collection::vec((0u64..40, 0usize..7), 0..60),
+            fast in proptest::collection::vec((100u64..160, 0usize..7), 0..60),
+            budget in 0usize..70,
+            margin in 0.5f64..3.0,
+        ) {
+            let (queued, fast) = (pages(&queued, false), pages(&fast, true));
+            let planned = pair_swaps(
+                hottest_queued(queued.clone(), budget),
+                coldest(fast.clone(), budget),
+                margin,
+            );
+            proptest::prop_assert_eq!(planned, plan_swaps_reference(queued, fast, budget, margin));
+        }
+    }
+
+    #[test]
+    fn equal_heats_keep_queue_order() {
+        let queued = vec![(Vpn(9), 1.0), (Vpn(2), 4.0), (Vpn(9), 1.0), (Vpn(5), 1.0)];
+        assert_eq!(
+            hottest_queued(queued, 3),
+            vec![(Vpn(2), 4.0), (Vpn(9), 1.0), (Vpn(9), 1.0)]
+        );
     }
 }
 

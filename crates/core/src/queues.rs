@@ -13,6 +13,8 @@
 //! drain in heat order; an MLFQ mechanism bumps pages whose heat keeps
 //! rising into higher-priority queues so nothing stagnates.
 
+use std::cmp::Reverse;
+use std::collections::HashMap;
 use vulcan_profile::PageStats;
 use vulcan_vm::{PageOwner, Vpn};
 
@@ -74,6 +76,18 @@ pub fn classify(owner: PageOwner, stats: &PageStats) -> PageClass {
     }
 }
 
+/// A heat as an integer sort key. Heat is a decayed EMA of sample
+/// counts — finite and non-negative, never `-0.0` — and the IEEE bits of
+/// such values order exactly like the values, so a comparison on the key
+/// equals `partial_cmp` on the heat.
+pub(crate) fn heat_key(heat: f64) -> u64 {
+    assert!(
+        heat.is_finite() && heat.is_sign_positive(),
+        "heat {heat} is not a non-negative finite EMA"
+    );
+    heat.to_bits()
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     vpn: Vpn,
@@ -82,12 +96,77 @@ struct Entry {
     class: PageClass,
 }
 
+/// Drain order within a level: hottest first, ties by ascending VPN. A
+/// level never holds a VPN twice (`refill` takes distinct candidates,
+/// `note_failed` dedups), so the order is total and an unstable sort
+/// equals a stable one.
+fn sort_level(level: &mut [Entry]) {
+    level.sort_unstable_by_key(|e| (Reverse(heat_key(e.heat)), e.vpn.0));
+}
+
+/// VPNs below this index the age table directly; the rare VPN above it
+/// spills into a map. The bound (the heat table's dense limit) keeps a
+/// VPN — say, one read from a checkpointed queue — from sizing the table.
+const AGE_DENSE_LIMIT: u64 = 1 << 21;
+
+/// The MLFQ ages `refill` carries from the old queues to the new ones,
+/// keyed by VPN: a dense epoch-stamped table, so a refill neither hashes
+/// nor clears it. A slot holds `epoch << 32 | age` and is live only while
+/// its epoch is current. Working state only, never serialized (a restored
+/// queue restamps its ages at the next refill).
+#[derive(Clone, Debug, Default)]
+struct AgeTable {
+    slots: Vec<u64>,
+    /// Ages of this epoch for VPNs at or above [`AGE_DENSE_LIMIT`].
+    spill: HashMap<u64, u32>,
+    epoch: u32,
+}
+
+impl AgeTable {
+    /// Retire every stored age and cover VPNs below `span` (capped at
+    /// [`AGE_DENSE_LIMIT`]); the table only grows.
+    fn next_epoch(&mut self, span: u64) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: stamps from 2^32 epochs ago would look current.
+            self.slots.fill(0);
+            self.epoch = 1;
+        }
+        let span = span.min(AGE_DENSE_LIMIT) as usize;
+        if self.slots.len() < span {
+            self.slots.resize(span, 0);
+        }
+        self.spill.clear();
+    }
+
+    /// Record `vpn`'s age for this epoch; a later `set` of the same VPN
+    /// wins. A dense VPN beyond the covered span cannot be asked for this
+    /// epoch, so it is not stored.
+    fn set(&mut self, vpn: u64, age: u32) {
+        if vpn >= AGE_DENSE_LIMIT {
+            self.spill.insert(vpn, age);
+        } else if let Some(slot) = self.slots.get_mut(vpn as usize) {
+            *slot = u64::from(self.epoch) << 32 | u64::from(age);
+        }
+    }
+
+    /// `vpn`'s age recorded this epoch, if any.
+    fn get(&self, vpn: u64) -> Option<u32> {
+        if vpn >= AGE_DENSE_LIMIT {
+            return self.spill.get(&vpn).copied();
+        }
+        let slot = *self.slots.get(vpn as usize)?;
+        (slot >> 32 == u64::from(self.epoch)).then_some(slot as u32)
+    }
+}
+
 /// The four promotion queues with MLFQ aging.
 #[derive(Clone, Debug, Default)]
 pub struct PromotionQueues {
     queues: [Vec<Entry>; 4],
     /// Quanta a page must wait before being bumped one queue up.
     aging_quanta: u32,
+    ages: AgeTable,
 }
 
 /// Pages drained from the queues, ready to migrate.
@@ -117,41 +196,48 @@ impl PromotionQueues {
         PromotionQueues {
             queues: Default::default(),
             aging_quanta: 2,
+            ages: AgeTable::default(),
         }
     }
 
-    /// Re-enqueue this quantum's candidates. Ages carried over from pages
-    /// already queued are preserved (the MLFQ memory); pages that
-    /// disappeared from the candidate set are dropped.
+    /// Re-enqueue this quantum's candidates, which carry distinct VPNs.
+    /// Ages carried over from pages already queued are preserved (the
+    /// MLFQ memory); pages that disappeared from the candidate set are
+    /// dropped.
     pub fn refill(&mut self, candidates: impl IntoIterator<Item = (Vpn, PageClass, f64)>) {
-        let mut ages: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-        for q in &self.queues {
-            for e in q {
-                ages.insert(e.vpn.0, e.age);
+        let candidates: Vec<(Vpn, PageClass, f64)> = candidates.into_iter().collect();
+        let span = candidates
+            .iter()
+            .map(|(vpn, _, _)| vpn.0.saturating_add(1))
+            .max()
+            .unwrap_or(0);
+        let PromotionQueues {
+            queues,
+            aging_quanta,
+            ages,
+        } = self;
+        ages.next_epoch(span);
+        // Level order, so a VPN that `note_failed` left in two levels
+        // carries the age of its entry in the later one.
+        for q in queues.iter_mut() {
+            for e in q.drain(..) {
+                ages.set(e.vpn.0, e.age);
             }
         }
-        for q in &mut self.queues {
-            q.clear();
-        }
         for (vpn, class, heat) in candidates {
-            let age = ages.get(&vpn.0).map_or(0, |&a| a + 1);
+            let age = ages.get(vpn.0).map_or(0, |a| a + 1);
             // MLFQ: waiting promotes a page `age / aging_quanta` levels.
-            let boost = (age / self.aging_quanta.max(1)) as usize;
+            let boost = (age / (*aging_quanta).max(1)) as usize;
             let level = class.index().saturating_sub(boost);
-            self.queues[level].push(Entry {
+            queues[level].push(Entry {
                 vpn,
                 heat,
                 age,
                 class,
             });
         }
-        for q in &mut self.queues {
-            q.sort_by(|a, b| {
-                b.heat
-                    .partial_cmp(&a.heat)
-                    .unwrap()
-                    .then(a.vpn.0.cmp(&b.vpn.0))
-            });
+        for q in queues.iter_mut() {
+            sort_level(q);
         }
     }
 
@@ -195,12 +281,7 @@ impl PromotionQueues {
         }
         for (level, q) in self.queues.iter_mut().enumerate() {
             if touched[level] {
-                q.sort_by(|a, b| {
-                    b.heat
-                        .partial_cmp(&a.heat)
-                        .unwrap()
-                        .then(a.vpn.0.cmp(&b.vpn.0))
-                });
+                sort_level(q);
             }
         }
     }
@@ -286,6 +367,12 @@ impl vulcan_json::Snapshot for PromotionQueues {
                 let class = *PageClass::ALL
                     .get(classes[i] as usize)
                     .ok_or_else(|| format!("queue {level}: bad class code {}", classes[i]))?;
+                if !(heats[i].is_finite() && heats[i].is_sign_positive()) {
+                    return Err(format!(
+                        "queue {level}: heat {} is not a non-negative finite EMA",
+                        heats[i]
+                    ));
+                }
                 queues[level].push(Entry {
                     vpn: Vpn(vpns[i]),
                     heat: heats[i],
@@ -299,6 +386,7 @@ impl vulcan_json::Snapshot for PromotionQueues {
             queues,
             aging_quanta: u32::try_from(snap::field_u64(v, "aging_quanta")?)
                 .map_err(|_| "aging_quanta out of range".to_string())?,
+            ages: AgeTable::default(),
         })
     }
 }
@@ -478,6 +566,212 @@ mod tests {
         o.insert("levels", Value::Array(levels));
         let err = PromotionQueues::restore(&Value::Object(o)).unwrap_err();
         assert!(err.contains("bad class code"), "{err}");
+    }
+
+    /// The refill this crate shipped before the epoch-stamped age table:
+    /// a SipHash map of every queued page's age (last insert wins) and a
+    /// stable sort per level. Kept as the reference `refill` must match.
+    fn refill_reference(
+        q: &mut PromotionQueues,
+        candidates: impl IntoIterator<Item = (Vpn, PageClass, f64)>,
+    ) {
+        let mut ages: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
+        for level in &q.queues {
+            for e in level {
+                ages.insert(e.vpn.0, e.age);
+            }
+        }
+        for level in &mut q.queues {
+            level.clear();
+        }
+        for (vpn, class, heat) in candidates {
+            let age = ages.get(&vpn.0).map_or(0, |&a| a + 1);
+            let boost = (age / q.aging_quanta.max(1)) as usize;
+            let level = class.index().saturating_sub(boost);
+            q.queues[level].push(Entry {
+                vpn,
+                heat,
+                age,
+                class,
+            });
+        }
+        for level in &mut q.queues {
+            stable_sort_reference(level);
+        }
+    }
+
+    /// The matching reference `note_failed`: the same dedup and requeue,
+    /// with the stable sort.
+    fn note_failed_reference(q: &mut PromotionQueues, pages: &[(Vpn, PageClass, f64)]) {
+        let mut touched = [false; 4];
+        for &(vpn, class, heat) in pages {
+            let age = q.aging_quanta.max(1);
+            let level = class.index().saturating_sub(1);
+            q.queues[level].retain(|e| e.vpn != vpn);
+            q.queues[level].push(Entry {
+                vpn,
+                heat,
+                age,
+                class,
+            });
+            touched[level] = true;
+        }
+        for (level, entries) in q.queues.iter_mut().enumerate() {
+            if touched[level] {
+                stable_sort_reference(entries);
+            }
+        }
+    }
+
+    fn stable_sort_reference(level: &mut [Entry]) {
+        level.sort_by(|a, b| {
+            b.heat
+                .partial_cmp(&a.heat)
+                .unwrap()
+                .then(a.vpn.0.cmp(&b.vpn.0))
+        });
+    }
+
+    /// Every queued entry as (level, VPN, heat bits, age, class), in
+    /// queue order.
+    fn entries(q: &PromotionQueues) -> Vec<(usize, u64, u64, u32, PageClass)> {
+        q.queues
+            .iter()
+            .enumerate()
+            .flat_map(|(l, level)| {
+                level
+                    .iter()
+                    .map(move |e| (l, e.vpn.0, e.heat.to_bits(), e.age, e.class))
+            })
+            .collect()
+    }
+
+    /// Heats with ties, and a VPN space that wraps past the dense age
+    /// table into its spill.
+    const HEATS: [f64; 6] = [0.0, 0.1, 0.5, 1.0, 3.25, 7.0];
+
+    fn page((v, c, h): (u64, usize, usize)) -> (Vpn, PageClass, f64) {
+        let vpn = if v < 40 { v } else { AGE_DENSE_LIMIT + v };
+        (Vpn(vpn), PageClass::ALL[c], HEATS[h])
+    }
+
+    proptest::proptest! {
+        /// `refill` (and `note_failed`) reproduce the reference exactly —
+        /// level, order, age and class of every entry, and every drain —
+        /// across refills, transient-failure requeues that leave a VPN at
+        /// two levels, drains, and a snapshot → restore that empties the
+        /// age table mid-sequence.
+        #[test]
+        fn refill_matches_the_siphash_reference(
+            ops in proptest::collection::vec(
+                (
+                    0u8..4,
+                    proptest::collection::vec((0u64..48, 0usize..4, 0usize..6), 0..24),
+                    0usize..12,
+                ),
+                1..40,
+            ),
+        ) {
+            use vulcan_json::Snapshot;
+            let mut fast = PromotionQueues::new();
+            let mut reference = PromotionQueues::new();
+            for (i, (kind, raw, budget)) in ops.into_iter().enumerate() {
+                let pages: Vec<(Vpn, PageClass, f64)> = raw.into_iter().map(page).collect();
+                match kind {
+                    0 => {
+                        // Candidates come from the heat table: distinct VPNs.
+                        let mut seen = std::collections::BTreeSet::new();
+                        let cands: Vec<_> =
+                            pages.into_iter().filter(|p| seen.insert(p.0)).collect();
+                        fast.refill(cands.clone());
+                        refill_reference(&mut reference, cands);
+                    }
+                    1 => {
+                        fast.note_failed(pages.clone());
+                        note_failed_reference(&mut reference, &pages);
+                    }
+                    2 => {
+                        let (a, b) = (fast.drain(budget), reference.drain(budget));
+                        proptest::prop_assert_eq!(a.async_pages, b.async_pages);
+                        proptest::prop_assert_eq!(a.sync_pages, b.sync_pages);
+                    }
+                    _ => {
+                        let snap_v = fast.snapshot();
+                        proptest::prop_assert_eq!(&snap_v, &reference.snapshot());
+                        fast = PromotionQueues::restore(&snap_v).expect("restore");
+                    }
+                }
+                proptest::prop_assert_eq!(entries(&fast), entries(&reference), "after op {}", i);
+            }
+        }
+    }
+
+    #[test]
+    fn refill_keeps_the_last_age_of_a_page_queued_at_two_levels() {
+        let mut q = PromotionQueues::new();
+        // Age a shared-write page up one level (age 3 → level 2)...
+        for _ in 0..4 {
+            q.refill([(Vpn(3), PageClass::SharedWrite, 1.0)]);
+        }
+        assert_eq!(q.level(2), vec![Vpn(3)]);
+        // ...then a transient failure requeues it as a private-read page
+        // at level 0 (age 2) without touching level 2: it is queued twice.
+        q.note_failed([(Vpn(3), PageClass::PrivateRead, 1.0)]);
+        assert_eq!(q.len(), 2);
+        // The later level's entry (age 3) wins, as with the map's last
+        // insert: age 4 lifts the page two levels, to level 1. The
+        // level-0 entry's age would have left it at level 2.
+        q.refill([(Vpn(3), PageClass::SharedWrite, 1.0)]);
+        assert_eq!(
+            entries(&q),
+            vec![(1, 3, 1.0f64.to_bits(), 4, PageClass::SharedWrite)]
+        );
+    }
+
+    #[test]
+    fn age_table_spills_large_vpns_and_retires_old_epochs() {
+        let mut t = AgeTable::default();
+        t.next_epoch(8);
+        t.set(3, 5);
+        t.set(100, 1); // beyond the span: never asked for this epoch
+        t.set(AGE_DENSE_LIMIT + 7, 9);
+        assert_eq!(t.get(3), Some(5));
+        assert_eq!(t.get(100), None);
+        assert_eq!(t.get(AGE_DENSE_LIMIT + 7), Some(9));
+        assert_eq!(
+            t.slots.len(),
+            8,
+            "sized by the span, not by the VPNs stored"
+        );
+        t.next_epoch(u64::MAX);
+        assert_eq!(t.get(3), None, "a new epoch retires every age");
+        assert_eq!(t.get(AGE_DENSE_LIMIT + 7), None);
+        assert_eq!(t.slots.len() as u64, AGE_DENSE_LIMIT, "the span is capped");
+    }
+
+    #[test]
+    fn restore_rejects_a_heat_that_is_no_ema() {
+        use vulcan_json::{Snapshot, Value};
+        for bad in [-1.0, -0.0, f64::NAN, f64::INFINITY] {
+            let mut q = PromotionQueues::new();
+            q.refill([(Vpn(1), PageClass::PrivateRead, 1.0)]);
+            let Value::Object(mut o) = q.snapshot() else {
+                panic!("snapshot is an object")
+            };
+            let Some(Value::Array(mut levels)) = o.get("levels").cloned() else {
+                panic!("levels is an array")
+            };
+            let Value::Object(l0) = &mut levels[0] else {
+                panic!("level is an object")
+            };
+            l0.insert("heats", vulcan_json::snap::f64_array(&[bad]));
+            o.insert("levels", Value::Array(levels));
+            let err = PromotionQueues::restore(&Value::Object(o)).unwrap_err();
+            assert!(
+                err.contains("not a non-negative finite EMA"),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -190,13 +190,19 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so slicing on a
-                    // char boundary is safe).
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte in one slice. Those stop bytes are ASCII,
+                    // which never occurs inside a multi-byte UTF-8 sequence,
+                    // so the run ends on a char boundary of the &str input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unexpected end"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -283,6 +289,56 @@ mod tests {
     fn big_u64_becomes_float() {
         let v = parse("18446744073709551615").unwrap();
         assert_eq!(v.as_f64(), Some(u64::MAX as f64));
+    }
+
+    #[test]
+    fn multi_byte_runs_and_escapes_between_them() {
+        let v = parse(r#""héllo wörld — 😀\n\"naïve\"\\tail日本語\u00e9end""#).unwrap();
+        assert_eq!(
+            v.as_str(),
+            Some("héllo wörld — 😀\n\"naïve\"\\tail日本語éend")
+        );
+        // Escapes back to back, and at both ends of the string.
+        let v = parse(r#""\t\t€\"""#).unwrap();
+        assert_eq!(v.as_str(), Some("\t\t€\""));
+        assert_eq!(parse(r#""""#).unwrap().as_str(), Some(""));
+    }
+
+    #[test]
+    fn raw_control_byte_after_a_long_run_reports_its_offset() {
+        let text = format!("[\"{}é\u{1}x\"]", "a".repeat(10_000));
+        let err = parse(&text).unwrap_err();
+        // '[' + '"' + 10 000 ASCII bytes + 2 bytes of 'é'.
+        assert_eq!(err.offset, 2 + 10_000 + 2);
+        assert_eq!(err.message, "raw control character in string");
+        let err = parse(&format!("\"{}", "ü".repeat(500))).unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (1 + 1000, "unterminated string")
+        );
+    }
+
+    #[test]
+    fn multi_megabyte_document_parses_in_linear_time() {
+        // About 6 MB of strings; quadratic scanning would take minutes.
+        let words: Vec<String> = (0..100_000)
+            .map(|i| format!("\"key-{i}-ünïcødé-{}\"", "x".repeat(40)))
+            .collect();
+        let text = format!("[{}]", words.join(","));
+        assert!(text.len() > 6_000_000);
+        let started = std::time::Instant::now();
+        let v = parse(&text).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items.len(), 100_000);
+        assert_eq!(
+            items[99_999].as_str(),
+            Some(format!("key-99999-ünïcødé-{}", "x".repeat(40)).as_str())
+        );
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(20),
+            "parse took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

@@ -61,16 +61,20 @@ pub enum Structure {
     /// (`on_access_batch`) vs a scalar replay of the same access plane
     /// through `on_access`/`on_hint_fault` on a cloned profiler.
     Batch,
+    /// `vm::table`'s per-tier resident counters vs a scan of every
+    /// mapped PTE, compared at each `recount_fast`.
+    Resident,
 }
 
 impl Structure {
     /// All structures, in display order.
-    pub const ALL: [Structure; 5] = [
+    pub const ALL: [Structure; 6] = [
         Structure::Heat,
         Structure::Walk,
         Structure::Zipf,
         Structure::Latency,
         Structure::Batch,
+        Structure::Resident,
     ];
 
     /// Human-readable structure name used in reports.
@@ -81,6 +85,7 @@ impl Structure {
             Structure::Zipf => "zipf-sampler",
             Structure::Latency => "loaded-latency",
             Structure::Batch => "access-batch",
+            Structure::Resident => "tier-residency",
         }
     }
 
@@ -91,6 +96,7 @@ impl Structure {
             Structure::Zipf => 2,
             Structure::Latency => 3,
             Structure::Batch => 4,
+            Structure::Resident => 5,
         }
     }
 }
@@ -98,13 +104,8 @@ impl Structure {
 /// Lockstep comparisons performed, per structure. Global (not
 /// thread-local): experiment grids run cells on a thread pool and the
 /// driver wants one total.
-static CHECKS: [AtomicU64; 5] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static CHECKS: [AtomicU64; Structure::ALL.len()] =
+    [const { AtomicU64::new(0) }; Structure::ALL.len()];
 
 thread_local! {
     /// Simulated time (ns) of the quantum currently executing on this
@@ -286,9 +287,28 @@ impl RefHeat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The check counters are process-global and the test harness runs
+    /// tests in parallel: every test that bumps or reads them holds this
+    /// lock, so exact counts never see a sibling's checks.
+    fn counters_lock() -> MutexGuard<'static, ()> {
+        static COUNTERS: Mutex<()> = Mutex::new(());
+        COUNTERS
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    #[test]
+    fn structure_indices_are_dense_in_display_order() {
+        for (i, s) in Structure::ALL.iter().enumerate() {
+            assert_eq!(s.index(), i, "{}", s.name());
+        }
+    }
 
     #[test]
     fn counters_accumulate_and_reset() {
+        let _counters = counters_lock();
         reset_checks();
         check(Structure::Zipf, true, None, || unreachable!());
         check(Structure::Zipf, true, Some(4), || unreachable!());
@@ -302,6 +322,7 @@ mod tests {
 
     #[test]
     fn failing_check_reports_structure_vpn_and_time() {
+        let _counters = counters_lock();
         set_now(1_234);
         let err = std::panic::catch_unwind(|| {
             check(Structure::Walk, false, Some(0x42), || {

@@ -894,16 +894,34 @@ impl SystemState {
         }
     }
 
-    /// Recount workload `w`'s fast-tier pages (authoritative).
+    /// Refresh workload `w`'s fast-tier page count from the address
+    /// space's resident counters (authoritative, O(1)).
     pub fn recount_fast(&mut self, w: usize) {
         let ws = &mut self.workloads[w];
-        let count = ws
-            .process
-            .space
-            .mapped_vpns()
-            .filter(|&v| ws.process.space.pte(v).tier() == Some(TierKind::Fast))
-            .count() as u64;
-        ws.stats.fast_used = count;
+        let space = &ws.process.space;
+        // Oracle builds: the counters must equal the reference model, a
+        // scan of every mapped PTE.
+        #[cfg(feature = "oracle")]
+        {
+            let mut scan = [0u64; vulcan_sim::MAX_TIERS];
+            for v in space.mapped_vpns() {
+                if let Some(t) = space.pte(v).tier() {
+                    scan[t.index()] += 1;
+                }
+            }
+            let counted = TierKind::ALL.map(|t| space.resident(t));
+            vulcan_oracle::check(
+                vulcan_oracle::Structure::Resident,
+                counted == scan,
+                None,
+                || {
+                    format!(
+                    "workload {w}: resident counters {counted:?} != scan of mapped PTEs {scan:?}"
+                )
+                },
+            );
+        }
+        ws.stats.fast_used = space.resident(TierKind::Fast);
     }
 
     /// Set workload `w`'s fast-tier quota in pages.

@@ -367,6 +367,46 @@ fn restore_rejects_wrong_policy() {
     );
 }
 
+/// A present PTE whose two-bit tier field holds `0b11` (no chain tier
+/// encodes it) fails the restore with a typed error instead of panicking
+/// when the page tables are decoded.
+#[test]
+fn restore_rejects_an_invalid_pte_tier_with_a_typed_error() {
+    let static_cell = Cell {
+        policy: || Box::new(StaticPlacement),
+        shards: 1,
+        faults: FaultConfig::default(),
+    };
+    let mut runner = mk_runner(&static_cell, 4);
+    runner.run_quantum();
+    let text = runner.checkpoint().unwrap().to_json();
+    // Set the tier bits (9–10) of the first present PTE of the first
+    // leaf table.
+    let start = text.find("\"ptes\":[").expect("a leaf table") + "\"ptes\":[".len();
+    let end = start + text[start..].find(']').expect("closed array");
+    let mut words: Vec<i64> = text[start..end]
+        .split(',')
+        .map(|w| w.parse().expect("PTE word"))
+        .collect();
+    let slot = words
+        .iter()
+        .position(|&w| w & 1 == 1)
+        .expect("a present PTE");
+    words[slot] |= 0b11 << 9;
+    let words: Vec<String> = words.iter().map(i64::to_string).collect();
+    let corrupt = format!("{}{}{}", &text[..start], words.join(","), &text[end..]);
+    let v = parse_checkpoint(&corrupt).unwrap();
+    let err = match SimRunner::restore(&v, Box::new(StaticPlacement), |_| PebsProfiler::new(4)) {
+        Ok(_) => panic!("a corrupt PTE must not restore"),
+        Err(e) => e,
+    };
+    assert!(
+        matches!(&err, vulcan_runtime::CheckpointError::Invalid(m)
+            if m.contains(&format!("slot {slot}: PTE tier field 3 is not a valid chain index"))),
+        "{err}"
+    );
+}
+
 /// The tournament's fork contract: a checkpoint taken under one policy
 /// forks under a *different* policy and a re-parameterized machine —
 /// no name check, cold policy, fresh profilers — and the continuation

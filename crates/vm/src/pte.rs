@@ -78,14 +78,22 @@ impl Pte {
         self.0 & PRESENT != 0
     }
 
+    /// The tier of the mapped frame without panicking on a corrupt
+    /// entry: `Ok(None)` when not present, `Err(field)` when the two-bit
+    /// tier field holds `0b11`, which no chain tier encodes. Checkpoint
+    /// restore validates untrusted PTE words through this.
+    pub(crate) fn try_tier(self) -> Result<Option<TierKind>, usize> {
+        if !self.present() {
+            return Ok(None);
+        }
+        TierKind::try_from(((self.0 & TIER_MASK) >> TIER_SHIFT) as usize).map(Some)
+    }
+
     /// The mapped frame, if present.
     pub fn frame(self) -> Option<FrameId> {
-        if !self.present() {
-            return None;
-        }
-        let raw = ((self.0 & TIER_MASK) >> TIER_SHIFT) as usize;
-        let tier = TierKind::try_from(raw)
-            .unwrap_or_else(|i| panic!("PTE tier field {i} is not a valid chain index"));
+        let tier = self
+            .try_tier()
+            .unwrap_or_else(|i| panic!("PTE tier field {i} is not a valid chain index"))?;
         Some(FrameId {
             tier,
             index: ((self.0 & FRAME_MASK) >> FRAME_SHIFT) as u32,
@@ -218,6 +226,17 @@ mod tests {
         let back = pte.with_frame(frame(TierKind::Slow, 7));
         assert_eq!(back.tier(), Some(TierKind::Slow));
         assert!(back.dirty(), "flags survive the remap");
+    }
+
+    #[test]
+    fn try_tier_reports_the_invalid_field_instead_of_panicking() {
+        let pte = Pte::new(frame(TierKind::Nvm, 3), LocalTid(0));
+        assert_eq!(pte.try_tier(), Ok(Some(TierKind::Nvm)));
+        assert_eq!(Pte::EMPTY.try_tier(), Ok(None));
+        let corrupt = Pte(pte.0 | TIER_MASK);
+        assert_eq!(corrupt.try_tier(), Err(3));
+        // A not-present word is never decoded, whatever its tier bits say.
+        assert_eq!(Pte(TIER_MASK).try_tier(), Ok(None));
     }
 
     #[test]

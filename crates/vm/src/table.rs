@@ -15,7 +15,7 @@
 use crate::addr::{Vpn, FANOUT, LEVEL_BITS};
 use crate::pte::{merge_owner, LocalTid, PageOwner, Pte};
 use std::collections::BTreeSet;
-use vulcan_sim::FrameId;
+use vulcan_sim::{FrameId, TierKind, MAX_TIERS};
 
 /// Slots in each software walk cache (power of two, direct-mapped).
 const WALK_CACHE_SLOTS: usize = 128;
@@ -156,6 +156,12 @@ pub struct AddressSpace {
     replication: bool,
     /// All mapped VPNs, for iteration by profilers and policies.
     mapped: BTreeSet<u64>,
+    /// Mapped pages per chain tier (indexed by `TierKind::index`), so a
+    /// tier's residency is read in O(1) rather than by scanning every
+    /// mapped PTE. Only `map`, `unmap` and `set_pte` can change a PTE's
+    /// frame (`touch` never does), and each adjusts the counts. Derived
+    /// state: not serialized; restore recounts it from the leaf PTEs.
+    resident: [u64; MAX_TIERS],
     /// Bases of ranges currently backed by transparent huge pages.
     huge_bases: BTreeSet<u64>,
     /// Walk cache over the process tree (region → leaf index).
@@ -179,6 +185,7 @@ impl AddressSpace {
             thread_roots: Vec::new(),
             replication,
             mapped: BTreeSet::new(),
+            resident: [0; MAX_TIERS],
             huge_bases: BTreeSet::new(),
             walk: WalkCache::new(),
             thread_walks: Vec::new(),
@@ -359,6 +366,7 @@ impl AddressSpace {
         l.ptes[slot] = Pte::new(frame, owner);
         l.mapped += 1;
         self.mapped.insert(vpn.0);
+        self.resident[frame.tier.index()] += 1;
     }
 
     /// Unmap `vpn`, returning the old PTE (migration step ②).
@@ -373,6 +381,9 @@ impl AddressSpace {
         l.ptes[slot] = Pte::EMPTY;
         l.mapped -= 1;
         self.mapped.remove(&vpn.0);
+        if let Some(t) = old.tier() {
+            self.resident[t.index()] -= 1;
+        }
         self.invalidate_walk(vpn);
         Some(old)
     }
@@ -413,9 +424,15 @@ impl AddressSpace {
             .expect("set_pte on unmapped region");
         let slot = vpn.index(0);
         let l = &mut self.leaves[leaf as usize];
-        let was = l.ptes[slot].present();
+        let old = l.ptes[slot];
         l.ptes[slot] = pte;
-        match (was, pte.present()) {
+        if let Some(t) = old.tier() {
+            self.resident[t.index()] -= 1;
+        }
+        if let Some(t) = pte.tier() {
+            self.resident[t.index()] += 1;
+        }
+        match (old.present(), pte.present()) {
             (false, true) => {
                 l.mapped += 1;
                 self.mapped.insert(vpn.0);
@@ -552,6 +569,11 @@ impl AddressSpace {
         self.mapped.len() as u64
     }
 
+    /// Number of mapped pages whose frame lives in `tier`, in O(1).
+    pub fn resident(&self, tier: TierKind) -> u64 {
+        self.resident[tier.index()]
+    }
+
     // ---- transparent huge pages -------------------------------------------------
 
     /// Mark the 2 MiB range at `base` as THP-backed.
@@ -645,7 +667,8 @@ impl vulcan_json::Snapshot for AddressSpace {
     /// walk caches are deliberately **not** serialized: they are
     /// memoization only (the `walk_cache_disabled_matches_enabled` test
     /// proves behavioral equivalence), so restore rebuilds them empty and
-    /// they re-fill on first touch.
+    /// they re-fill on first touch. Neither are the per-tier resident
+    /// counts: restore recounts them while decoding the leaf PTEs.
     fn snapshot(&self) -> vulcan_json::Value {
         use vulcan_json::{snap, Value};
         let nodes: Vec<Value> = self
@@ -701,15 +724,38 @@ impl vulcan_json::Snapshot for AddressSpace {
                 })
             })
             .collect::<Result<_, String>>()?;
+        let mut resident = [0u64; MAX_TIERS];
         let leaves: Vec<Leaf> = snap::field_array(v, "leaves")?
             .iter()
-            .map(|lv| {
+            .enumerate()
+            .map(|(i, lv)| {
                 let ptes = snap::array_u64(snap::field(lv, "ptes")?)?;
                 if ptes.len() != FANOUT {
                     return Err(format!("leaf needs {FANOUT} ptes, got {}", ptes.len()));
                 }
                 let mapped = u32::try_from(snap::field_u64(lv, "mapped")?)
                     .map_err(|_| "leaf mapped count out of u32 range".to_string())?;
+                let mut present = 0u32;
+                for (slot, &word) in ptes.iter().enumerate() {
+                    match Pte(word).try_tier() {
+                        Ok(Some(t)) => {
+                            resident[t.index()] += 1;
+                            present += 1;
+                        }
+                        Ok(None) => {}
+                        Err(field) => {
+                            return Err(format!(
+                                "leaf {i} slot {slot}: PTE tier field {field} is not a valid \
+                                 chain index"
+                            ))
+                        }
+                    }
+                }
+                if present != mapped {
+                    return Err(format!(
+                        "leaf {i}: mapped count {mapped} != {present} present PTEs"
+                    ));
+                }
                 Ok(Leaf {
                     ptes: ptes
                         .into_iter()
@@ -739,15 +785,24 @@ impl vulcan_json::Snapshot for AddressSpace {
             })
             .collect::<Result<_, String>>()?;
         let thread_walks = thread_roots.iter().map(|_| WalkCache::new()).collect();
+        let mapped: BTreeSet<u64> = snap::array_u64(snap::field(v, "mapped")?)?
+            .into_iter()
+            .collect();
+        let present: u64 = resident.iter().sum();
+        if present != mapped.len() as u64 {
+            return Err(format!(
+                "{present} present leaf PTEs but {} mapped VPNs",
+                mapped.len()
+            ));
+        }
         Ok(AddressSpace {
             nodes,
             leaves,
             process_root,
             thread_roots,
             replication: snap::field_bool(v, "replication")?,
-            mapped: snap::array_u64(snap::field(v, "mapped")?)?
-                .into_iter()
-                .collect(),
+            mapped,
+            resident,
             huge_bases: snap::array_u64(snap::field(v, "huge_bases")?)?
                 .into_iter()
                 .collect(),
@@ -1110,6 +1165,89 @@ mod tests {
         assert_eq!(orig.inner_node_count(), back.inner_node_count());
         assert_eq!(orig.leaf_count(), back.leaf_count());
         assert_eq!(back.snapshot(), orig.snapshot(), "states stay in lockstep");
+    }
+
+    #[test]
+    fn resident_counts_follow_map_unmap_and_remap() {
+        let mut s = space();
+        let fast = |index| FrameId {
+            tier: TierKind::Fast,
+            index,
+        };
+        s.map(Vpn(1), fast(1), LocalTid(0));
+        s.map(Vpn(2), frame(2), LocalTid(0));
+        s.map(Vpn(3), frame(3), LocalTid(0));
+        assert_eq!(
+            (s.resident(TierKind::Fast), s.resident(TierKind::Slow)),
+            (1, 2)
+        );
+        // Remap slow → fast in place, and a flag-only rewrite.
+        let pte = s.pte(Vpn(2));
+        s.set_pte(Vpn(2), pte.with_frame(fast(9)));
+        s.set_pte(Vpn(3), s.pte(Vpn(3)).with_poisoned(true));
+        assert_eq!(
+            (s.resident(TierKind::Fast), s.resident(TierKind::Slow)),
+            (2, 1)
+        );
+        // Migration's present → EMPTY → present pair, and a plain unmap.
+        s.set_pte(Vpn(1), Pte::EMPTY);
+        assert_eq!(s.resident(TierKind::Fast), 1);
+        s.unmap(Vpn(3)).unwrap();
+        assert_eq!(
+            (s.resident(TierKind::Fast), s.resident(TierKind::Slow)),
+            (1, 0)
+        );
+        s.touch(Vpn(2), LocalTid(1), true).unwrap();
+        assert_eq!(s.resident(TierKind::Fast), 1, "touch never moves a frame");
+        assert_eq!(s.resident(TierKind::Nvm), 0);
+    }
+
+    /// Replace leaf 0's PTE words in a snapshot.
+    fn with_leaf_ptes(
+        v: &vulcan_json::Value,
+        edit: impl FnOnce(&mut Vec<u64>),
+    ) -> vulcan_json::Value {
+        use vulcan_json::{snap, Value};
+        let mut v = v.clone();
+        let Value::Object(m) = &mut v else {
+            panic!("snapshot is an object")
+        };
+        let Some(Value::Array(leaves)) = m.get("leaves").cloned() else {
+            panic!("leaves is an array")
+        };
+        let mut leaves = leaves;
+        let Value::Object(l0) = &mut leaves[0] else {
+            panic!("leaf is an object")
+        };
+        let mut ptes = snap::array_u64(l0.get("ptes").expect("ptes")).expect("u64 words");
+        edit(&mut ptes);
+        l0.insert("ptes", snap::u64_array(&ptes));
+        m.insert("leaves", Value::Array(leaves));
+        v
+    }
+
+    #[test]
+    fn restore_rejects_an_invalid_tier_field_instead_of_panicking() {
+        use vulcan_json::Snapshot;
+        let mut s = space();
+        s.map(Vpn(5), frame(5), LocalTid(0));
+        let v = with_leaf_ptes(&s.snapshot(), |ptes| ptes[5] |= 0b11 << 9);
+        let err = AddressSpace::restore(&v).unwrap_err();
+        assert!(
+            err.contains("slot 5: PTE tier field 3 is not a valid chain index"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_leaves_that_disagree_with_their_counts() {
+        use vulcan_json::Snapshot;
+        let mut s = space();
+        s.map(Vpn(5), frame(5), LocalTid(0));
+        // A present PTE the leaf's mapped count does not cover.
+        let v = with_leaf_ptes(&s.snapshot(), |ptes| ptes[6] = ptes[5]);
+        let err = AddressSpace::restore(&v).unwrap_err();
+        assert!(err.contains("mapped count 1 != 2 present PTEs"), "{err}");
     }
 
     #[test]

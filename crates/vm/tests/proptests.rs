@@ -14,7 +14,70 @@ fn arb_frame() -> impl Strategy<Value = FrameId> {
     })
 }
 
+/// Per-tier residency by the obviously-correct route: walk every mapped
+/// VPN and decode its PTE.
+fn resident_scan(s: &AddressSpace) -> [u64; 3] {
+    let mut counts = [0u64; 3];
+    for v in s.mapped_vpns() {
+        counts[s.pte(v).tier().expect("mapped page has a tier").index()] += 1;
+    }
+    counts
+}
+
+fn resident_counts(s: &AddressSpace) -> [u64; 3] {
+    TierKind::ALL.map(|t| s.resident(t))
+}
+
 proptest! {
+    /// The O(1) per-tier resident counts track a full scan through every
+    /// PTE writer: `map`, `unmap`, and `set_pte` moving a page across
+    /// chain tiers or between present and absent. A snapshot → restore
+    /// rebuilds the same counts from the leaf PTEs.
+    #[test]
+    fn resident_counts_match_a_scan(
+        ops in proptest::collection::vec((0u8..4, 0u64..600, 0usize..3, any::<bool>()), 1..160),
+    ) {
+        use vulcan_json::Snapshot;
+        let mut s = AddressSpace::new(true);
+        for (i, &(op, v, t, flag)) in ops.iter().enumerate() {
+            let vpn = Vpn(v);
+            let frame = FrameId { tier: TierKind::ALL[t], index: i as u32 };
+            match op {
+                0 => {
+                    if !s.is_mapped(vpn) {
+                        s.map(vpn, frame, LocalTid(0));
+                    }
+                }
+                1 => {
+                    s.unmap(vpn);
+                }
+                2 => {
+                    // Remap in place across tiers (migration step ⑤), or
+                    // a flag-only rewrite that keeps the frame.
+                    let pte = s.pte(vpn);
+                    if pte.present() {
+                        let next = if flag { pte.with_frame(frame) } else { pte.touch(true) };
+                        s.set_pte(vpn, next);
+                    }
+                }
+                _ => {
+                    // present ⇄ absent through set_pte (migration steps ②/⑤);
+                    // only regions with a leaf table accept set_pte.
+                    let pte = s.pte(vpn);
+                    if pte.present() {
+                        s.set_pte(vpn, Pte::EMPTY);
+                    } else if s.mapped_vpns().any(|m| m.0 >> 9 == v >> 9) {
+                        s.set_pte(vpn, Pte::new(frame, LocalTid(1)));
+                    }
+                }
+            }
+            prop_assert_eq!(resident_counts(&s), resident_scan(&s), "after op {}", i);
+        }
+        prop_assert_eq!(resident_counts(&s).iter().sum::<u64>(), s.rss_pages());
+        let back = AddressSpace::restore(&s.snapshot()).expect("restore");
+        prop_assert_eq!(resident_counts(&back), resident_scan(&s));
+    }
+
     /// PTE bit packing is lossless for every frame/owner/flag combination.
     #[test]
     fn pte_roundtrip(frame in arb_frame(), tid in 0u8..=0x7E, a in any::<bool>(), d in any::<bool>(), p in any::<bool>()) {
