@@ -129,6 +129,119 @@ fn version_skew_and_truncation_exit_2() {
     assert!(err.contains("not a vulcan checkpoint"), "stderr: {err}");
 }
 
+/// `v` with the value at `path` (object keys, or array indices written
+/// as decimal strings) replaced by `new`.
+fn replace_at(
+    v: &vulcan_json::Value,
+    path: &[&str],
+    new: vulcan_json::Value,
+) -> vulcan_json::Value {
+    use vulcan_json::Value;
+    let Some((step, rest)) = path.split_first() else {
+        return new;
+    };
+    match v {
+        Value::Object(m) => {
+            let mut m = m.clone();
+            let child = replace_at(m.get(step).expect("path key"), rest, new);
+            m.insert(*step, child);
+            Value::Object(m)
+        }
+        Value::Array(a) => {
+            let mut a = a.to_vec();
+            let i: usize = step.parse().expect("array index");
+            a[i] = replace_at(&a[i], rest, new);
+            Value::Array(a)
+        }
+        _ => panic!("path {path:?} runs through a scalar"),
+    }
+}
+
+/// A checkpoint whose page tables or in-flight queue are corrupt parses
+/// as JSON but must not restore: every case exits 2 with a pointed
+/// `invalid checkpoint` message, never a panic on the first touch.
+#[test]
+fn corrupt_page_tables_and_inflight_queue_exit_2() {
+    use vulcan_json::{snap, Value};
+    let dir = scratch("arena");
+    let cfg = dir.join("cfg.json");
+    std::fs::write(&cfg, config_text(&dir.join("unused.json"))).unwrap();
+    let ck = dir.join("ck.json");
+    run_ok(
+        bin()
+            .args(["checkpoint"])
+            .arg(&cfg)
+            .args(["--at", "1", "--out"])
+            .arg(&ck),
+    );
+    let v = vulcan_json::parse(&std::fs::read_to_string(&ck).unwrap()).unwrap();
+    let space_path = ["state", "workloads", "0", "process", "space"];
+    let space = space_path.iter().fold(&v, |v, k| match v {
+        Value::Array(a) => &a[k.parse::<usize>().unwrap()],
+        _ => v.get(k).unwrap(),
+    });
+    let root = snap::field_u64(space, "process_root").unwrap() as usize;
+    let root_slots =
+        snap::array_u64(&space.get("nodes").unwrap().as_array().unwrap()[root]).unwrap();
+    let used = root_slots
+        .iter()
+        .position(|&c| c != 0)
+        .expect("a mapped region");
+    let mapped = snap::array_u64(space.get("mapped").unwrap()).unwrap();
+    let with_root_slot = |code: u64| {
+        let mut slots = root_slots.clone();
+        slots[used] = code;
+        let root = root.to_string();
+        let path = [&space_path[..], &["nodes", root.as_str()]].concat();
+        replace_at(&v, &path, snap::u64_array(&slots))
+    };
+    let tiers = || Value::Array(vec![Value::Str("fast".into()), Value::Str("fast".into())]);
+    let twice = [
+        ("vpns", snap::u64_array(&[mapped[0], mapped[0]])),
+        ("dests", tiers()),
+        ("frame_tiers", tiers()),
+        ("frame_indices", snap::u64_array(&[0, 1])),
+        ("completes", snap::u64_array(&[0, 0])),
+        ("retries", snap::u64_array(&[0, 0])),
+    ]
+    .into_iter()
+    .fold(v.clone(), |acc, (field, value)| {
+        replace_at(
+            &acc,
+            &["state", "workloads", "0", "async_migrator", field],
+            value,
+        )
+    });
+    let cases = [
+        (
+            with_root_slot((1 << 32) | 999_999),
+            "node 999999 is past the node arena",
+        ),
+        (
+            with_root_slot(2 << 32),
+            "leaf tables belong only in level-1 nodes",
+        ),
+        (
+            replace_at(
+                &v,
+                &[&space_path[..], &["mapped"]].concat(),
+                snap::u64_array(&[&[mapped[0] + 1], &mapped[1..]].concat()),
+            ),
+            "mapped list entry 0",
+        ),
+        (twice, "is in flight twice"),
+    ];
+    for (i, (corrupt, want)) in cases.iter().enumerate() {
+        let path = dir.join(format!("corrupt{i}.json"));
+        std::fs::write(&path, corrupt.to_json()).unwrap();
+        let out = bin().args(["resume"]).arg(&path).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "case {i}: {err}");
+        assert!(err.contains("invalid checkpoint"), "case {i}: {err}");
+        assert!(err.contains(want), "case {i}: {err}");
+    }
+}
+
 #[test]
 fn checkpoint_past_the_run_exits_2() {
     let dir = scratch("past");

@@ -23,7 +23,7 @@ use crate::qos;
 use crate::queues::{classify, heat_key, PageClass, PromotionQueues};
 use std::cmp::{Ordering, Reverse};
 use vulcan_migrate::{MechanismConfig, SyncOutcome};
-use vulcan_runtime::{SystemState, TieringPolicy};
+use vulcan_runtime::{SystemState, TieringPolicy, WorkloadState};
 use vulcan_sim::{FaultSite, TierKind};
 use vulcan_telemetry::EventKind;
 use vulcan_vm::Vpn;
@@ -261,18 +261,19 @@ impl VulcanPolicy {
         }
 
         // --- Build this quantum's promotion queues -------------------
-        let candidates: Vec<(Vpn, PageClass, f64)> = {
+        let candidates = {
             let ws = &state.workloads[w];
-            ws.heat()
-                .iter()
-                .filter(|(_, s)| s.heat >= self.cfg.heat_threshold)
-                .filter_map(|(vpn, s)| {
-                    // One PTE read gives both the tier and the owner.
-                    let pte = ws.process.space.pte(vpn);
-                    (pte.tier() == Some(TierKind::Slow) && !ws.async_migrator.is_inflight(vpn))
-                        .then(|| (vpn, classify(pte.owner(), &s), s.heat))
-                })
-                .collect()
+            let threshold = self.cfg.heat_threshold;
+            let migrator = &ws.async_migrator;
+            // Whether anything is in flight is tested once, outside the
+            // scan: with nothing in flight (the common case) the scan
+            // carries no lookup at all. A lookup inside the loop kept
+            // the per-candidate body from being inlined.
+            if migrator.inflight() == 0 {
+                promotion_candidates(ws, threshold, |_| false)
+            } else {
+                promotion_candidates(ws, threshold, |v| migrator.is_inflight(v))
+            }
         };
         self.queues[w].refill(candidates);
 
@@ -388,6 +389,25 @@ impl VulcanPolicy {
     }
 }
 
+/// Workload `ws`'s slow-tier pages at or above `threshold` heat that
+/// `inflight` does not claim, classified for the promotion queues. One
+/// PTE read gives both the tier and the owner.
+fn promotion_candidates(
+    ws: &WorkloadState,
+    threshold: f64,
+    inflight: impl Fn(Vpn) -> bool,
+) -> Vec<(Vpn, PageClass, f64)> {
+    ws.heat()
+        .iter()
+        .filter(|(_, s)| s.heat >= threshold)
+        .filter_map(|(vpn, s)| {
+            let pte = ws.process.space.pte(vpn);
+            (pte.tier() == Some(TierKind::Slow) && !inflight(vpn))
+                .then(|| (vpn, classify(pte.owner(), &s), s.heat))
+        })
+        .collect()
+}
+
 /// Pair hot candidates (hottest first) with cold pages (coldest first)
 /// while each candidate is `margin`× hotter than its partner.
 fn pair_swaps(hot: Vec<(Vpn, f64)>, mut cold: Vec<(Vpn, f64)>, margin: f64) -> Vec<(Vpn, Vpn)> {
@@ -463,15 +483,16 @@ fn coldest_fast_pages(state: &SystemState, w: usize, n: usize) -> Vec<Vpn> {
         .collect()
 }
 
-/// The `n` coldest pages of workload `w` resident in `tier`, with heat.
+/// The `n` coldest pages of workload `w` resident in `tier`, with heat,
+/// filtered from the PTEs the leaf tables yield (no second walk per page).
 fn coldest_pages_in(state: &SystemState, w: usize, tier: TierKind, n: usize) -> Vec<(Vpn, f64)> {
     let ws = &state.workloads[w];
     let pages: Vec<(Vpn, f64)> = ws
         .process
         .space
-        .mapped_vpns()
-        .filter(|&v| ws.process.space.pte(v).tier() == Some(tier))
-        .map(|v| (v, ws.heat().get(v).heat))
+        .mapped_ptes()
+        .filter(|&(_, pte)| pte.tier() == Some(tier))
+        .map(|(v, _)| (v, ws.heat().get(v).heat))
         .collect();
     coldest(pages, n)
 }

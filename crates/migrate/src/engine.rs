@@ -15,8 +15,9 @@ use crate::phases::{batch_phases_without_shootdown, PhaseCycles, PrepStrategy};
 use crate::shadow::ShadowRegistry;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use vulcan_sim::{Cycles, FaultSite, FrameId, Machine, Nanos, TierKind};
-use vulcan_vm::{shootdown, Process, ShootdownMode, ShootdownScope, TlbArray, Vpn};
+use vulcan_vm::{shootdown, Process, ShootdownMode, ShootdownScope, ThreadCores, TlbArray, Vpn};
 
 /// Configuration of the migration mechanism.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,7 +113,7 @@ pub fn migrate_sync(
 ) -> SyncOutcome {
     let mut out = SyncOutcome::default();
 
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = HashSet::new();
     let eligible: Vec<Vpn> = pages
         .iter()
         .copied()
@@ -253,12 +254,8 @@ fn split_and_flush_huge(
     let mut cores = None;
     for &vpn in pages {
         if process.space.split_huge(vpn) {
-            let cores = cores.get_or_insert_with(|| {
-                machine
-                    .topology
-                    .cores_of(process.sim_threads().iter().copied())
-            });
-            tlbs.invalidate_huge_on(cores.iter().copied(), process.asid, vpn);
+            let cores = cores.get_or_insert_with(|| ThreadCores::new(process, &machine.topology));
+            tlbs.invalidate_huge_on(cores.all().iter(), process.asid, vpn);
         }
     }
 }
@@ -312,7 +309,12 @@ pub struct AsyncPoll {
 /// rate (`dirty_prob` in [`poll`](Self::poll)).
 #[derive(Clone, Debug)]
 pub struct AsyncMigrator {
+    /// In-flight transactions in start order; `poll` walks them front
+    /// to back, so the order is behavioral and serialized.
     inflight: Vec<Txn>,
+    /// The VPNs of `inflight`, for O(1) membership. Derived state: never
+    /// serialized, rebuilt by restore.
+    inflight_vpns: HashSet<u64>,
     rng: SmallRng,
     /// Lifetime statistics.
     pub stats: AsyncStats,
@@ -334,6 +336,7 @@ impl AsyncMigrator {
     pub fn with_seed(seed: u64) -> Self {
         AsyncMigrator {
             inflight: Vec::new(),
+            inflight_vpns: HashSet::new(),
             rng: SmallRng::seed_from_u64(seed),
             stats: AsyncStats::default(),
         }
@@ -344,9 +347,9 @@ impl AsyncMigrator {
         self.inflight.len()
     }
 
-    /// Whether `vpn` has an in-flight transaction.
+    /// Whether `vpn` has an in-flight transaction, in O(1).
     pub fn is_inflight(&self, vpn: Vpn) -> bool {
-        self.inflight.iter().any(|t| t.vpn == vpn)
+        self.inflight_vpns.contains(&vpn.0)
     }
 
     /// Begin transactions moving `pages` to `dest`. The copy runs in the
@@ -395,6 +398,7 @@ impl AsyncMigrator {
             // Snapshot: clear D so a write during the window is detectable.
             process.space.set_pte(vpn, pte.clear_dirty());
             machine.record_page_copy(src_tier, dest);
+            self.inflight_vpns.insert(vpn.0);
             self.inflight.push(Txn {
                 vpn,
                 dest,
@@ -428,6 +432,9 @@ impl AsyncMigrator {
         let mut out = AsyncPoll::default();
         let costs = machine.spec().migration_costs.clone();
         let copy_time = costs.copy_single.to_nanos();
+        // The thread→core table for commit shootdowns, built at the first
+        // commit: nothing in a poll moves a thread.
+        let mut cores = None;
 
         let mut remaining = Vec::with_capacity(self.inflight.len());
         for mut txn in std::mem::take(&mut self.inflight) {
@@ -435,6 +442,9 @@ impl AsyncMigrator {
                 remaining.push(txn);
                 continue;
             }
+            // Every arm below but the retry ends the transaction; the
+            // retry puts the VPN straight back.
+            self.inflight_vpns.remove(&txn.vpn.0);
             let pte = process.space.pte(txn.vpn);
             if !pte.present() || pte.tier() == Some(txn.dest) {
                 // Raced with another migration: drop the transaction.
@@ -458,12 +468,14 @@ impl AsyncMigrator {
                 if let Some(src_tier) = pte.tier() {
                     machine.record_page_copy(src_tier, txn.dest);
                 }
+                self.inflight_vpns.insert(txn.vpn.0);
                 remaining.push(txn);
                 continue;
             }
 
             // Commit: short unmap → targeted shootdown → remap window.
-            let plan = shootdown::plan(process, &machine.topology, &[txn.vpn], cfg.scope);
+            let cores = cores.get_or_insert_with(|| ThreadCores::new(process, &machine.topology));
+            let plan = cores.plan(process, std::slice::from_ref(&txn.vpn), cfg.scope);
             let sd_out = shootdown::execute_faulty(
                 &plan,
                 process,
@@ -511,6 +523,7 @@ impl AsyncMigrator {
     /// Abort every in-flight transaction (workload teardown), freeing the
     /// reserved destination frames.
     pub fn abort_all(&mut self, machine: &mut Machine) {
+        self.inflight_vpns.clear();
         for txn in self.inflight.drain(..) {
             machine.free(txn.dest_frame);
             self.stats.aborted += 1;
@@ -647,7 +660,11 @@ impl vulcan_json::Snapshot for AsyncMigrator {
             return Err("async migrator txn arrays have mismatched lengths".to_string());
         }
         let mut inflight = Vec::with_capacity(n);
+        let mut inflight_vpns = HashSet::with_capacity(n);
         for i in 0..n {
+            if !inflight_vpns.insert(vpns[i]) {
+                return Err(format!("VPN {:#x} is in flight twice", vpns[i]));
+            }
             let dest = match &dests[i] {
                 vulcan_json::Value::Str(s) => tier_from_name(s)?,
                 _ => return Err("txn dest is not a string".to_string()),
@@ -675,6 +692,7 @@ impl vulcan_json::Snapshot for AsyncMigrator {
             .map_err(|_| "rng state is not 4 words".to_string())?;
         Ok(AsyncMigrator {
             inflight,
+            inflight_vpns,
             rng: SmallRng::from_state(rng_state),
             stats: AsyncStats {
                 started: snap::field_u64(v, "started")?,
@@ -1109,6 +1127,246 @@ mod tests {
             let (log, stats) = run(Some(at));
             assert_eq!(log, straight_log, "restore at round {at} diverged");
             assert_eq!(stats, straight_stats, "restore at round {at} stats");
+        }
+    }
+
+    #[test]
+    fn async_restore_rejects_a_vpn_in_flight_twice() {
+        use vulcan_json::Snapshot;
+        let (mut p, mut m, mut t, _s) = setup(16, 16);
+        let pages = map_slow(&mut p, &mut m, 2);
+        let mut am = AsyncMigrator::new();
+        am.start(&mut p, &mut m, &mut t, &pages, TierKind::Fast, Nanos(0));
+        let mut snap_v = am.snapshot();
+        let vulcan_json::Value::Object(o) = &mut snap_v else {
+            panic!("snapshot is not an object")
+        };
+        o.insert("vpns", vulcan_json::snap::u64_array(&[1, 1]));
+        match AsyncMigrator::restore(&snap_v) {
+            Ok(_) => panic!("a VPN in flight twice must be rejected"),
+            Err(e) => assert!(
+                e.contains("VPN 0x1 is in flight twice"),
+                "unexpected error: {e}"
+            ),
+        }
+    }
+
+    /// The linear-scan migrator this module replaced, kept as the
+    /// reference: `start` with membership by scanning `inflight`, and
+    /// `poll` planning each commit's shootdown from scratch. It drives
+    /// an `AsyncMigrator`'s queue, RNG and stats but never reads or
+    /// writes the derived VPN set.
+    mod linear {
+        use super::super::*;
+
+        pub fn start(
+            am: &mut AsyncMigrator,
+            process: &mut Process,
+            machine: &mut Machine,
+            tlbs: &mut TlbArray,
+            pages: &[Vpn],
+            dest: TierKind,
+            now: Nanos,
+        ) -> usize {
+            let copy_time = machine.spec().migration_costs.copy_single.to_nanos();
+            let mut started = 0;
+            for &vpn in pages {
+                let pte = process.space.pte(vpn);
+                if !pte.present()
+                    || pte.tier() == Some(dest)
+                    || am.inflight.iter().any(|t| t.vpn == vpn)
+                {
+                    continue;
+                }
+                let Some(src_tier) = pte.tier() else {
+                    continue;
+                };
+                let Ok(dest_frame) = machine.alloc(dest) else {
+                    if machine.last_alloc_injected() {
+                        machine.faults.note_recovery(FaultSite::alloc_for(dest));
+                        continue;
+                    }
+                    break;
+                };
+                if machine.faults.copy_fails() {
+                    machine.free(dest_frame);
+                    machine.faults.note_recovery(FaultSite::CopyFail);
+                    am.stats.copy_faulted += 1;
+                    continue;
+                }
+                split_and_flush_huge(process, machine, tlbs, &[vpn]);
+                process.space.set_pte(vpn, pte.clear_dirty());
+                machine.record_page_copy(src_tier, dest);
+                am.inflight.push(Txn {
+                    vpn,
+                    dest,
+                    dest_frame,
+                    completes: now + copy_time,
+                    retries: 0,
+                });
+                started += 1;
+            }
+            am.stats.started += started as u64;
+            started
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        pub fn poll(
+            am: &mut AsyncMigrator,
+            process: &mut Process,
+            machine: &mut Machine,
+            tlbs: &mut TlbArray,
+            shadows: &mut ShadowRegistry,
+            now: Nanos,
+            cfg: &MechanismConfig,
+            dirty_prob: &mut dyn FnMut(Vpn) -> f64,
+        ) -> AsyncPoll {
+            let mut out = AsyncPoll::default();
+            let costs = machine.spec().migration_costs.clone();
+            let copy_time = costs.copy_single.to_nanos();
+            let mut remaining = Vec::with_capacity(am.inflight.len());
+            for mut txn in std::mem::take(&mut am.inflight) {
+                if txn.completes > now {
+                    remaining.push(txn);
+                    continue;
+                }
+                let pte = process.space.pte(txn.vpn);
+                if !pte.present() || pte.tier() == Some(txn.dest) {
+                    machine.free(txn.dest_frame);
+                    am.stats.aborted += 1;
+                    out.aborted.push(txn.vpn);
+                    continue;
+                }
+                if am.rng.gen::<f64>() < dirty_prob(txn.vpn) {
+                    if txn.retries >= cfg.max_async_retries {
+                        machine.free(txn.dest_frame);
+                        am.stats.aborted += 1;
+                        out.aborted.push(txn.vpn);
+                        continue;
+                    }
+                    txn.retries += 1;
+                    txn.completes = now + copy_time;
+                    am.stats.retried += 1;
+                    process.space.set_pte(txn.vpn, pte.clear_dirty());
+                    if let Some(src_tier) = pte.tier() {
+                        machine.record_page_copy(src_tier, txn.dest);
+                    }
+                    remaining.push(txn);
+                    continue;
+                }
+                let page = [txn.vpn];
+                let plan = shootdown::plan(process, &machine.topology, &page, cfg.scope);
+                let sd = shootdown::execute_faulty(
+                    &plan,
+                    process,
+                    tlbs,
+                    &costs,
+                    cfg.sd_mode,
+                    &mut machine.faults,
+                )
+                .cycles;
+                let Some(old) = process.space.unmap(txn.vpn) else {
+                    machine.free(txn.dest_frame);
+                    am.stats.aborted += 1;
+                    out.aborted.push(txn.vpn);
+                    out.background += sd;
+                    continue;
+                };
+                let Some(old_frame) = old.frame() else {
+                    process.space.set_pte(txn.vpn, old);
+                    machine.free(txn.dest_frame);
+                    am.stats.aborted += 1;
+                    out.aborted.push(txn.vpn);
+                    out.background += sd;
+                    continue;
+                };
+                if cfg.shadowing && txn.dest.index() < old_frame.tier.index() {
+                    if let Some(stale) = shadows.retain(txn.vpn, old_frame) {
+                        machine.free(stale);
+                    }
+                } else {
+                    machine.free(old_frame);
+                }
+                process
+                    .space
+                    .set_pte(txn.vpn, old.with_frame(txn.dest_frame).clear_dirty());
+                out.background += sd + costs.unmap + costs.remap;
+                am.stats.committed += 1;
+                out.committed.push(txn.vpn);
+            }
+            am.inflight = remaining;
+            out
+        }
+    }
+
+    proptest::proptest! {
+        /// The indexed migrator and the linear-scan reference, driven by
+        /// the same random `start`/`poll` sequence (batches with repeated
+        /// VPNs, shared pages, a destination that fills up, dirty
+        /// retries, both shootdown scopes), agree on every return value,
+        /// the in-flight order, the stats and the snapshot, and leave
+        /// identical page tables and frame pools.
+        #[test]
+        fn indexed_migrator_matches_the_linear_scan_reference(
+            targeted in proptest::prelude::any::<bool>(),
+            ops in proptest::collection::vec(
+                (0u8..3, proptest::collection::vec(0u64..12, 0..8), 0u8..4),
+                1..40,
+            ),
+        ) {
+            use proptest::prelude::*;
+            use vulcan_json::Snapshot;
+            let cfg = MechanismConfig {
+                max_async_retries: 1,
+                scope: if targeted { ShootdownScope::Targeted } else { ShootdownScope::ProcessWide },
+                ..MechanismConfig::vulcan()
+            };
+            let world = || {
+                let (mut p, mut m, t, s) = setup(6, 16);
+                let pages = map_slow(&mut p, &mut m, 12);
+                for &v in pages.iter().step_by(3) {
+                    p.space.touch(v, LocalTid(2), false).unwrap(); // shared
+                }
+                (p, m, t, s)
+            };
+            let (mut p1, mut m1, mut t1, mut s1) = world();
+            let (mut p2, mut m2, mut t2, mut s2) = world();
+            let mut indexed = AsyncMigrator::with_seed(7);
+            let mut reference = AsyncMigrator::with_seed(7);
+            let mut now = Nanos(0);
+            // Writes in the copy window: pages 0, 4, 8 always, 2, 6, 10
+            // half the time, the rest never.
+            let mut dirty = |v: Vpn| [1.0, 0.0, 0.5, 0.0][v.0 as usize % 4];
+            for (step, (op, batch, dest)) in ops.iter().enumerate() {
+                let pages: Vec<Vpn> = batch.iter().map(|&v| Vpn(v)).collect();
+                if *op == 0 {
+                    let dest = if *dest == 0 { TierKind::Slow } else { TierKind::Fast };
+                    let a = indexed.start(&mut p1, &mut m1, &mut t1, &pages, dest, now);
+                    let b = linear::start(&mut reference, &mut p2, &mut m2, &mut t2, &pages, dest, now);
+                    prop_assert_eq!(a, b, "start at step {}", step);
+                } else {
+                    now += Nanos(u64::from(*dest) * 400);
+                    let a = indexed.poll(&mut p1, &mut m1, &mut t1, &mut s1, now, &cfg, &mut dirty);
+                    let b = linear::poll(&mut reference, &mut p2, &mut m2, &mut t2, &mut s2, now, &cfg, &mut dirty);
+                    prop_assert_eq!(&a.committed, &b.committed, "step {}", step);
+                    prop_assert_eq!(&a.aborted, &b.aborted, "step {}", step);
+                    prop_assert_eq!(a.background, b.background, "step {}", step);
+                }
+                prop_assert_eq!(indexed.stats, reference.stats, "step {}", step);
+                prop_assert_eq!(indexed.snapshot(), reference.snapshot(), "step {}", step);
+                for v in 0..12 {
+                    let scanned = reference.inflight.iter().any(|t| t.vpn == Vpn(v));
+                    prop_assert_eq!(indexed.is_inflight(Vpn(v)), scanned, "vpn {} at step {}", v, step);
+                }
+                prop_assert_eq!(p1.snapshot(), p2.snapshot(), "step {}", step);
+                for tier in [TierKind::Fast, TierKind::Slow] {
+                    prop_assert_eq!(m1.free_pages(tier), m2.free_pages(tier));
+                }
+            }
+            let back = AsyncMigrator::restore(&indexed.snapshot()).expect("restore");
+            for v in 0..12 {
+                prop_assert_eq!(back.is_inflight(Vpn(v)), indexed.is_inflight(Vpn(v)));
+            }
         }
     }
 

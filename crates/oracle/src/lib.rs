@@ -64,17 +64,22 @@ pub enum Structure {
     /// `vm::table`'s per-tier resident counters vs a scan of every
     /// mapped PTE, compared at each `recount_fast`.
     Resident,
+    /// `vm::table`'s mapped-page list, read from the leaf tables' present
+    /// bits, vs the ordered set of mapped VPNs it replaced, compared at
+    /// every `mapped_ptes` and `rss_pages`.
+    Mapped,
 }
 
 impl Structure {
     /// All structures, in display order.
-    pub const ALL: [Structure; 6] = [
+    pub const ALL: [Structure; 7] = [
         Structure::Heat,
         Structure::Walk,
         Structure::Zipf,
         Structure::Latency,
         Structure::Batch,
         Structure::Resident,
+        Structure::Mapped,
     ];
 
     /// Human-readable structure name used in reports.
@@ -86,6 +91,7 @@ impl Structure {
             Structure::Latency => "loaded-latency",
             Structure::Batch => "access-batch",
             Structure::Resident => "tier-residency",
+            Structure::Mapped => "mapped-list",
         }
     }
 
@@ -97,6 +103,7 @@ impl Structure {
             Structure::Latency => 3,
             Structure::Batch => 4,
             Structure::Resident => 5,
+            Structure::Mapped => 6,
         }
     }
 }

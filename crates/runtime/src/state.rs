@@ -904,8 +904,8 @@ impl SystemState {
         #[cfg(feature = "oracle")]
         {
             let mut scan = [0u64; vulcan_sim::MAX_TIERS];
-            for v in space.mapped_vpns() {
-                if let Some(t) = space.pte(v).tier() {
+            for (_, pte) in space.mapped_ptes() {
+                if let Some(t) = pte.tier() {
                     scan[t.index()] += 1;
                 }
             }

@@ -30,4 +30,4 @@ pub use frame::{FrameAllocator, FrameId, OutOfFrames};
 pub use machine::{Machine, MachineSpec};
 pub use tier::{TierKind, TierSpec, HUGE_PAGE_PAGES, MAX_TIERS, PAGES_PER_PAPER_GB, PAGE_SIZE};
 pub use time::{Cycles, Nanos, SimClock, CYCLES_PER_NANO};
-pub use topology::{CoreId, SimThreadId, Topology};
+pub use topology::{CoreId, CoreSet, SimThreadId, Topology};

@@ -15,6 +15,99 @@ pub struct CoreId(pub u16);
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimThreadId(pub u32);
 
+/// 64-bit words of [`CoreSet`] kept inline: cores 0..256 never touch the
+/// heap, so planning a shootdown allocates nothing on any realistic socket.
+const INLINE_WORDS: usize = 4;
+
+/// A set of cores as a bitmap that iterates in ascending core order —
+/// the order a `BTreeSet<CoreId>` iterates in, so a shootdown planned
+/// into it invalidates the same cores in the same order and counts the
+/// same targets. Cores below 256 live inline; higher ids spill into
+/// heap words only on sockets that large.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CoreSet {
+    low: [u64; INLINE_WORDS],
+    /// Words for cores 256 and up. Grown only to hold a bit being set,
+    /// so the last word is never zero and derived equality is set
+    /// equality.
+    high: Vec<u64>,
+}
+
+impl CoreSet {
+    /// The empty set.
+    pub fn new() -> CoreSet {
+        CoreSet::default()
+    }
+
+    fn word_mut(&mut self, w: usize) -> &mut u64 {
+        if w < INLINE_WORDS {
+            return &mut self.low[w];
+        }
+        let h = w - INLINE_WORDS;
+        if h >= self.high.len() {
+            self.high.resize(h + 1, 0);
+        }
+        &mut self.high[h]
+    }
+
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.low.iter().chain(&self.high).copied()
+    }
+
+    /// Add `core`.
+    pub fn insert(&mut self, core: CoreId) {
+        let c = core.0 as usize;
+        *self.word_mut(c / 64) |= 1 << (c % 64);
+    }
+
+    /// Whether `core` is in the set.
+    pub fn contains(&self, core: CoreId) -> bool {
+        let c = core.0 as usize;
+        self.words()
+            .nth(c / 64)
+            .is_some_and(|w| w & (1 << (c % 64)) != 0)
+    }
+
+    /// Number of cores in the set.
+    pub fn len(&self) -> usize {
+        self.words().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the set has no cores.
+    pub fn is_empty(&self) -> bool {
+        self.words().all(|w| w == 0)
+    }
+
+    /// Whether every core of `self` is in `other`.
+    pub fn is_subset(&self, other: &CoreSet) -> bool {
+        self.iter().all(|c| other.contains(c))
+    }
+
+    /// The cores in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
+        self.words().enumerate().flat_map(|(w, mut bits)| {
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    // A set bit sits at a position some `CoreId` inserted.
+                    CoreId((w * 64 + b) as u16)
+                })
+            })
+        })
+    }
+}
+
+impl FromIterator<CoreId> for CoreSet {
+    fn from_iter<I: IntoIterator<Item = CoreId>>(cores: I) -> CoreSet {
+        let mut set = CoreSet::new();
+        for c in cores {
+            set.insert(c);
+        }
+        set
+    }
+}
+
 /// A single-socket CPU topology with static thread→core pinning.
 #[derive(Clone, Debug)]
 pub struct Topology {
@@ -195,6 +288,27 @@ mod tests {
         topo.pin(SimThreadId(2), CoreId(1));
         assert_eq!(topo.threads_on(CoreId(0)).len(), 2);
         assert_eq!(topo.threads_on(CoreId(1)), vec![SimThreadId(2)]);
+    }
+
+    #[test]
+    fn core_set_iterates_ascending_like_a_btree_set() {
+        let ids = [300u16, 5, 64, 63, 0, 255, 256, 5, 65_535, 127];
+        let set: CoreSet = ids.iter().map(|&c| CoreId(c)).collect();
+        let tree: BTreeSet<CoreId> = ids.iter().map(|&c| CoreId(c)).collect();
+        assert!(set.iter().eq(tree.iter().copied()));
+        assert_eq!(set.len(), tree.len());
+        assert!(set.contains(CoreId(65_535)) && !set.contains(CoreId(1)));
+        assert!(
+            !set.contains(CoreId(4_000)),
+            "a clear bit among the spill words"
+        );
+        let mut small = CoreSet::new();
+        assert!(small.is_empty() && small.is_subset(&set));
+        small.insert(CoreId(64));
+        assert!(!small.contains(CoreId(1_000)), "past the last spill word");
+        assert!(small.is_subset(&set) && !set.is_subset(&small));
+        let rebuilt: CoreSet = set.iter().collect();
+        assert_eq!(rebuilt, set);
     }
 
     #[test]

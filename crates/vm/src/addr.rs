@@ -17,6 +17,11 @@ pub const FANOUT: usize = 1 << LEVEL_BITS;
 /// Number of levels in the radix tree (PGD, PUD, PMD, PT).
 pub const LEVELS: usize = 4;
 
+/// Bits of a VPN the four radix levels translate: every mapped VPN is
+/// below `1 << VPN_BITS`. Above it the top-level index would wrap and
+/// alias a low address.
+pub const VPN_BITS: u32 = LEVEL_BITS * LEVELS as u32;
+
 impl Vpn {
     /// Radix index at `level`, where level 3 = top (PGD) and level 0 =
     /// leaf (PT).

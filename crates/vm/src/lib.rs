@@ -21,6 +21,6 @@ pub mod tlb;
 pub use addr::{Vpn, VpnRange, FANOUT, LEVELS, LEVEL_BITS};
 pub use process::Process;
 pub use pte::{merge_owner, LocalTid, PageOwner, Pte, MAX_LOCAL_TID, SHARED_TID};
-pub use shootdown::{ShootdownMode, ShootdownOutcome, ShootdownPlan, ShootdownScope};
+pub use shootdown::{ShootdownMode, ShootdownOutcome, ShootdownPlan, ShootdownScope, ThreadCores};
 pub use table::{AddressSpace, TouchOutcome};
 pub use tlb::{Asid, Tlb, TlbArray};

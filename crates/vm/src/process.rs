@@ -1,7 +1,6 @@
 //! A simulated process: address space plus thread registry.
 
-use crate::addr::Vpn;
-use crate::pte::{LocalTid, PageOwner, MAX_LOCAL_TID};
+use crate::pte::{LocalTid, MAX_LOCAL_TID};
 use crate::table::AddressSpace;
 use crate::tlb::Asid;
 use vulcan_sim::SimThreadId;
@@ -68,8 +67,12 @@ impl Process {
     /// every thread for shared pages. `None` if the page is unmapped.
     ///
     /// This is the information per-thread page-table replication makes
-    /// available (§3.4) — the basis for targeted shootdowns.
-    pub fn caching_threads(&self, vpn: Vpn) -> Option<Vec<SimThreadId>> {
+    /// available (§3.4). Shootdown planning reads the owner directly
+    /// ([`ThreadCores::plan`](crate::shootdown::ThreadCores::plan)); this
+    /// per-page list is the reference the planner is tested against.
+    #[cfg(test)]
+    pub(crate) fn caching_threads(&self, vpn: crate::addr::Vpn) -> Option<Vec<SimThreadId>> {
+        use crate::pte::PageOwner;
         match self.space.owner(vpn)? {
             PageOwner::Private(t) => Some(vec![self.sim_thread(t)]),
             PageOwner::Shared => Some(self.threads.clone()),
@@ -111,6 +114,7 @@ impl vulcan_json::Snapshot for Process {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::Vpn;
     use vulcan_sim::{FrameId, TierKind};
 
     fn proc() -> Process {

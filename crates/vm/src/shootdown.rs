@@ -8,9 +8,9 @@
 
 use crate::addr::Vpn;
 use crate::process::Process;
+use crate::pte::PageOwner;
 use crate::tlb::TlbArray;
-use std::collections::BTreeSet;
-use vulcan_sim::{CoreId, Cycles, FaultPlan, FaultSite, MigrationCosts, Topology};
+use vulcan_sim::{CoreId, CoreSet, Cycles, FaultPlan, FaultSite, MigrationCosts, Topology};
 
 /// How IPI targets are chosen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,14 +32,14 @@ pub enum ShootdownMode {
 
 /// A planned shootdown: pages to invalidate and cores to interrupt.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShootdownPlan {
+pub struct ShootdownPlan<'a> {
     /// Pages whose translations must be invalidated.
-    pub pages: Vec<Vpn>,
+    pub pages: &'a [Vpn],
     /// Remote cores that receive an IPI.
-    pub targets: BTreeSet<CoreId>,
+    pub targets: CoreSet,
 }
 
-impl ShootdownPlan {
+impl ShootdownPlan<'_> {
     /// Number of IPI targets.
     pub fn n_targets(&self) -> u16 {
         u16::try_from(self.targets.len())
@@ -47,32 +47,84 @@ impl ShootdownPlan {
     }
 }
 
+/// The core each thread of one process is pinned to, looked up once so
+/// that every page of a batch (or every commit of an async poll) is
+/// planned without scanning the topology again.
+#[derive(Clone, Debug)]
+pub struct ThreadCores {
+    /// `by_tid[t]`: the core of the process's local thread `t`, if pinned.
+    by_tid: Vec<Option<CoreId>>,
+    /// Every core running a thread of the process: the process-wide
+    /// target set, and the set a shared page can be cached on.
+    all: CoreSet,
+}
+
+impl ThreadCores {
+    /// Look up the core of every thread of `process`.
+    pub fn new(process: &Process, topology: &Topology) -> ThreadCores {
+        let by_tid: Vec<Option<CoreId>> = process
+            .sim_threads()
+            .iter()
+            .map(|&t| topology.core_of(t))
+            .collect();
+        let all = by_tid.iter().flatten().copied().collect();
+        ThreadCores { by_tid, all }
+    }
+
+    /// Every core running a thread of the process.
+    pub fn all(&self) -> &CoreSet {
+        &self.all
+    }
+
+    /// Plan a shootdown for `pages` of `process` (the process this table
+    /// was built for) under `scope`.
+    ///
+    /// Unmapped pages contribute no targets of their own but are still
+    /// listed for invalidation (their translations may linger in TLBs).
+    pub fn plan<'a>(
+        &self,
+        process: &Process,
+        pages: &'a [Vpn],
+        scope: ShootdownScope,
+    ) -> ShootdownPlan<'a> {
+        let targets = match scope {
+            ShootdownScope::ProcessWide => self.all.clone(),
+            ShootdownScope::Targeted => {
+                let mut cores = CoreSet::new();
+                for &vpn in pages {
+                    match process.space.owner(vpn) {
+                        Some(PageOwner::Private(t)) => {
+                            if let Some(&Some(core)) = self.by_tid.get(t.0 as usize) {
+                                cores.insert(core);
+                            }
+                        }
+                        Some(PageOwner::Shared) => {
+                            // A shared page may be cached by every thread,
+                            // and no page adds a core outside that set.
+                            cores = self.all.clone();
+                            break;
+                        }
+                        None => {}
+                    }
+                }
+                cores
+            }
+        };
+        ShootdownPlan { pages, targets }
+    }
+}
+
 /// Plan a shootdown for `pages` of `process` under `scope`.
 ///
 /// Unmapped pages contribute no targets of their own but are still listed
 /// for invalidation (their translations may linger in TLBs).
-pub fn plan(
+pub fn plan<'a>(
     process: &Process,
     topology: &Topology,
-    pages: &[Vpn],
+    pages: &'a [Vpn],
     scope: ShootdownScope,
-) -> ShootdownPlan {
-    let targets = match scope {
-        ShootdownScope::ProcessWide => topology.cores_of(process.sim_threads().iter().copied()),
-        ShootdownScope::Targeted => {
-            let mut cores = BTreeSet::new();
-            for &vpn in pages {
-                if let Some(threads) = process.caching_threads(vpn) {
-                    cores.extend(topology.cores_of(threads));
-                }
-            }
-            cores
-        }
-    };
-    ShootdownPlan {
-        pages: pages.to_vec(),
-        targets,
-    }
+) -> ShootdownPlan<'a> {
+    ThreadCores::new(process, topology).plan(process, pages, scope)
 }
 
 /// Outcome of a shootdown under fault injection: total modeled cycles
@@ -119,8 +171,8 @@ pub fn execute_faulty(
     mode: ShootdownMode,
     faults: &mut FaultPlan,
 ) -> ShootdownOutcome {
-    for &vpn in &plan.pages {
-        tlbs.invalidate_on(plan.targets.iter().copied(), process.asid, vpn);
+    for &vpn in plan.pages {
+        tlbs.invalidate_on(plan.targets.iter(), process.asid, vpn);
     }
     let base = cost_of(plan, costs, mode);
     let mut out = ShootdownOutcome {
@@ -223,7 +275,7 @@ mod tests {
         let (p, topo, _) = setup();
         let plan = plan(&p, &topo, &[Vpn(0)], ShootdownScope::Targeted);
         assert_eq!(plan.n_targets(), 1);
-        assert!(plan.targets.contains(&CoreId(0)));
+        assert!(plan.targets.contains(CoreId(0)));
     }
 
     #[test]
@@ -359,6 +411,82 @@ mod tests {
         // initiating core in the Fig 7 workloads, so the targeted set
         // still contains the initiator rather than dropping to zero.
         assert_eq!(narrow.n_targets(), 1);
+    }
+
+    /// The planner this module replaced, kept as the reference: per page,
+    /// the list of threads that may cache it, each looked up in the
+    /// topology, gathered in a `BTreeSet`.
+    fn reference_targets(
+        process: &Process,
+        topology: &Topology,
+        pages: &[Vpn],
+        scope: ShootdownScope,
+    ) -> std::collections::BTreeSet<CoreId> {
+        match scope {
+            ShootdownScope::ProcessWide => topology.cores_of(process.sim_threads().iter().copied()),
+            ShootdownScope::Targeted => {
+                let mut cores = std::collections::BTreeSet::new();
+                for &vpn in pages {
+                    if let Some(threads) = process.caching_threads(vpn) {
+                        cores.extend(topology.cores_of(threads));
+                    }
+                }
+                cores
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The per-batch planner targets exactly the reference's cores,
+        /// in the same ascending order, for both scopes: pages private to
+        /// any thread, shared, or unmapped; threads left unpinned or
+        /// stacked on one core; core ids on both sides of 64 and 256,
+        /// where the bitmap's words and its inline part end.
+        #[test]
+        fn planner_matches_the_per_page_reference(
+            pins in proptest::collection::vec(0usize..8, 1..10),
+            pages in proptest::collection::vec((0u8..3, 0u8..10, 0u8..10), 1..24),
+        ) {
+            use proptest::prelude::*;
+            // Index 7 leaves the thread unpinned; the rest repeat often.
+            const CORES: [u16; 7] = [0, 3, 63, 64, 255, 256, 299];
+            let mut p = Process::new(Asid(1), true);
+            let mut topo = Topology::new(300);
+            for (i, &pin) in pins.iter().enumerate() {
+                let sim = SimThreadId(100 + i as u32);
+                p.spawn_thread(sim);
+                if let Some(&core) = CORES.get(pin) {
+                    topo.pin(sim, CoreId(core));
+                }
+            }
+            let n = pins.len() as u8;
+            let mut vpns = Vec::new();
+            for (i, &(kind, a, b)) in pages.iter().enumerate() {
+                let vpn = Vpn(i as u64 * 37);
+                let (a, b) = (crate::pte::LocalTid(a % n), crate::pte::LocalTid(b % n));
+                if kind > 0 {
+                    let frame = FrameId { tier: TierKind::Slow, index: i as u32 };
+                    p.space.map(vpn, frame, a);
+                    p.space.touch(vpn, a, false).unwrap();
+                    if kind == 2 {
+                        // Shared once a second thread touches it.
+                        p.space.touch(vpn, b, true).unwrap();
+                    }
+                }
+                vpns.push(vpn);
+            }
+            let costs = MigrationCosts::default();
+            for scope in [ShootdownScope::ProcessWide, ShootdownScope::Targeted] {
+                let got = plan(&p, &topo, &vpns, scope);
+                let want = reference_targets(&p, &topo, &vpns, scope);
+                prop_assert!(got.targets.iter().eq(want.iter().copied()), "{:?}", scope);
+                prop_assert_eq!(got.n_targets() as usize, want.len());
+                let reference = ShootdownPlan { pages: &vpns, targets: want.into_iter().collect() };
+                for mode in [ShootdownMode::Cold, ShootdownMode::Batched] {
+                    prop_assert_eq!(cost_of(&got, &costs, mode), cost_of(&reference, &costs, mode));
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! leaf tables live in two `Vec`s and reference each other by index, so a
 //! leaf is "shared" simply by being reachable from several trees.
 
-use crate::addr::{Vpn, FANOUT, LEVEL_BITS};
+use crate::addr::{Vpn, FANOUT, LEVEL_BITS, VPN_BITS};
 use crate::pte::{merge_owner, LocalTid, PageOwner, Pte};
 use std::collections::BTreeSet;
 use vulcan_sim::{FrameId, TierKind, MAX_TIERS};
@@ -154,8 +154,11 @@ pub struct AddressSpace {
     /// Whether per-thread replication is maintained (ablation switch;
     /// §3.6 suggests enabling/disabling it adaptively).
     replication: bool,
-    /// All mapped VPNs, for iteration by profilers and policies.
-    mapped: BTreeSet<u64>,
+    /// Oracle builds: the ordered set of mapped VPNs, kept by `map`,
+    /// `unmap` and `set_pte` as the reference every `mapped_ptes` and
+    /// `rss_pages` is checked against.
+    #[cfg(feature = "oracle")]
+    reference_mapped: BTreeSet<u64>,
     /// Mapped pages per chain tier (indexed by `TierKind::index`), so a
     /// tier's residency is read in O(1) rather than by scanning every
     /// mapped PTE. Only `map`, `unmap` and `set_pte` can change a PTE's
@@ -184,7 +187,8 @@ impl AddressSpace {
             process_root: 0,
             thread_roots: Vec::new(),
             replication,
-            mapped: BTreeSet::new(),
+            #[cfg(feature = "oracle")]
+            reference_mapped: BTreeSet::new(),
             resident: [0; MAX_TIERS],
             huge_bases: BTreeSet::new(),
             walk: WalkCache::new(),
@@ -355,8 +359,14 @@ impl AddressSpace {
     /// entry for this region already points at the leaf being filled.
     ///
     /// # Panics
-    /// Panics if `vpn` is already mapped (the simulator must unmap first).
+    /// Panics if `vpn` is already mapped (the simulator must unmap first),
+    /// or if it is not below `1 << VPN_BITS`, where the radix indices
+    /// would wrap onto a lower address.
     pub fn map(&mut self, vpn: Vpn, frame: FrameId, owner: LocalTid) {
+        assert!(
+            vpn.0 >> VPN_BITS == 0,
+            "{vpn:?} is beyond the {VPN_BITS}-bit page-table radix"
+        );
         let leaf = self
             .leaf_index(self.process_root, vpn, true, None)
             .expect("building walk always yields a leaf");
@@ -365,7 +375,8 @@ impl AddressSpace {
         assert!(!l.ptes[slot].present(), "{vpn:?} already mapped");
         l.ptes[slot] = Pte::new(frame, owner);
         l.mapped += 1;
-        self.mapped.insert(vpn.0);
+        #[cfg(feature = "oracle")]
+        self.reference_mapped.insert(vpn.0);
         self.resident[frame.tier.index()] += 1;
     }
 
@@ -380,7 +391,8 @@ impl AddressSpace {
         let old = l.ptes[slot];
         l.ptes[slot] = Pte::EMPTY;
         l.mapped -= 1;
-        self.mapped.remove(&vpn.0);
+        #[cfg(feature = "oracle")]
+        self.reference_mapped.remove(&vpn.0);
         if let Some(t) = old.tier() {
             self.resident[t.index()] -= 1;
         }
@@ -435,11 +447,13 @@ impl AddressSpace {
         match (old.present(), pte.present()) {
             (false, true) => {
                 l.mapped += 1;
-                self.mapped.insert(vpn.0);
+                #[cfg(feature = "oracle")]
+                self.reference_mapped.insert(vpn.0);
             }
             (true, false) => {
                 l.mapped -= 1;
-                self.mapped.remove(&vpn.0);
+                #[cfg(feature = "oracle")]
+                self.reference_mapped.remove(&vpn.0);
                 // Unmap-equivalent transition (migration step ②): cached
                 // walks for the region must not outlive the mapping.
                 self.invalidate_walk(vpn);
@@ -450,7 +464,7 @@ impl AddressSpace {
 
     /// Whether `vpn` is mapped.
     pub fn is_mapped(&self, vpn: Vpn) -> bool {
-        self.mapped.contains(&vpn.0)
+        self.pte(vpn).present()
     }
 
     /// Simulate thread `tid` touching `vpn`: ensures the thread's private
@@ -559,14 +573,94 @@ impl AddressSpace {
         pte.present().then(|| pte.owner())
     }
 
-    /// Iterate all mapped VPNs in address order.
-    pub fn mapped_vpns(&self) -> impl Iterator<Item = Vpn> + '_ {
-        self.mapped.iter().map(|&v| Vpn(v))
+    /// Every mapped page with its PTE, in address order, read straight
+    /// from the leaf tables: no second index of mapped pages exists.
+    pub fn mapped_ptes(&self) -> impl Iterator<Item = (Vpn, Pte)> + '_ {
+        #[cfg(feature = "oracle")]
+        vulcan_oracle::check(
+            vulcan_oracle::Structure::Mapped,
+            self.walk_mapped()
+                .map(|(v, _)| v.0)
+                .eq(self.reference_mapped.iter().copied()),
+            None,
+            || {
+                let walked: Vec<u64> = self.walk_mapped().map(|(v, _)| v.0).collect();
+                let first = walked
+                    .iter()
+                    .zip(&self.reference_mapped)
+                    .find(|(w, r)| w != r);
+                format!(
+                    "leaves list {} mapped pages, the reference set {}; first \
+                     difference (leaf VPN, reference VPN): {first:?}",
+                    walked.len(),
+                    self.reference_mapped.len()
+                )
+            },
+        );
+        self.walk_mapped()
     }
 
-    /// Number of mapped pages (the process's RSS in pages).
+    /// The process tree's present PTEs: its nodes in slot order (radix
+    /// order is address order), then each leaf's present PTEs, skipping
+    /// leaves with nothing mapped.
+    fn walk_mapped(&self) -> impl Iterator<Item = (Vpn, Pte)> + '_ {
+        // Children of node `n` at `prefix`, with their extended prefix.
+        let inner = move |n: u32, prefix: u64| {
+            self.nodes[n as usize]
+                .slots
+                .iter()
+                .enumerate()
+                .filter_map(move |(i, slot)| match *slot {
+                    Slot::Node(c) => Some((c, prefix << LEVEL_BITS | i as u64)),
+                    _ => None,
+                })
+        };
+        inner(self.process_root, 0)
+            .flat_map(move |(n, prefix)| inner(n, prefix))
+            .flat_map(move |(n, prefix)| {
+                self.nodes[n as usize]
+                    .slots
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(i, slot)| match *slot {
+                        Slot::Leaf(l) if self.leaves[l as usize].mapped > 0 => {
+                            Some((l, prefix << LEVEL_BITS | i as u64))
+                        }
+                        _ => None,
+                    })
+            })
+            .flat_map(move |(l, region)| {
+                self.leaves[l as usize]
+                    .ptes
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, pte)| pte.present())
+                    .map(move |(i, &pte)| (Vpn(region << LEVEL_BITS | i as u64), pte))
+            })
+    }
+
+    /// Iterate all mapped VPNs in address order.
+    pub fn mapped_vpns(&self) -> impl Iterator<Item = Vpn> + '_ {
+        self.mapped_ptes().map(|(vpn, _)| vpn)
+    }
+
+    /// Number of mapped pages (the process's RSS in pages), in O(1): the
+    /// sum of the per-tier resident counts.
     pub fn rss_pages(&self) -> u64 {
-        self.mapped.len() as u64
+        let rss = self.resident.iter().sum();
+        #[cfg(feature = "oracle")]
+        vulcan_oracle::check(
+            vulcan_oracle::Structure::Mapped,
+            rss == self.reference_mapped.len() as u64,
+            None,
+            || {
+                format!(
+                    "resident counts sum to {rss}, the reference set holds {}",
+                    self.reference_mapped.len()
+                )
+            },
+        );
+        rss
     }
 
     /// Number of mapped pages whose frame lives in `tier`, in O(1).
@@ -695,7 +789,8 @@ impl vulcan_json::Snapshot for AddressSpace {
             .iter()
             .map(|r| r.map_or(NO_ROOT, |i| i as u64))
             .collect();
-        let mapped: Vec<u64> = self.mapped.iter().copied().collect();
+        let mut mapped = Vec::with_capacity(self.rss_pages() as usize);
+        mapped.extend(self.mapped_vpns().map(|v| v.0));
         let huge: Vec<u64> = self.huge_bases.iter().copied().collect();
         snap::obj(vec![
             ("nodes", Value::Array(nodes)),
@@ -785,23 +880,15 @@ impl vulcan_json::Snapshot for AddressSpace {
             })
             .collect::<Result<_, String>>()?;
         let thread_walks = thread_roots.iter().map(|_| WalkCache::new()).collect();
-        let mapped: BTreeSet<u64> = snap::array_u64(snap::field(v, "mapped")?)?
-            .into_iter()
-            .collect();
-        let present: u64 = resident.iter().sum();
-        if present != mapped.len() as u64 {
-            return Err(format!(
-                "{present} present leaf PTEs but {} mapped VPNs",
-                mapped.len()
-            ));
-        }
-        Ok(AddressSpace {
+        let listed = snap::array_u64(snap::field(v, "mapped")?)?;
+        let space = AddressSpace {
             nodes,
             leaves,
             process_root,
             thread_roots,
             replication: snap::field_bool(v, "replication")?,
-            mapped,
+            #[cfg(feature = "oracle")]
+            reference_mapped: listed.iter().copied().collect(),
             resident,
             huge_bases: snap::array_u64(snap::field(v, "huge_bases")?)?
                 .into_iter()
@@ -809,7 +896,144 @@ impl vulcan_json::Snapshot for AddressSpace {
             walk: WalkCache::new(),
             thread_walks,
             walk_enabled: snap::field_bool(v, "walk_enabled")?,
-        })
+        };
+        space.validate_arena()?;
+        space.validate_mapped(&listed)?;
+        Ok(space)
+    }
+}
+
+/// Restore-time validation of an untrusted arena. Every method returns a
+/// typed error instead of reaching the walks' index panics and
+/// `unreachable!` arms.
+impl AddressSpace {
+    /// Check every tree before anything walks it: each slot's index is
+    /// inside its arena, inner nodes hold only nodes at levels 3 and 2
+    /// and only leaf tables at level 1, no node is linked twice (which
+    /// also rules out cycles and trees sharing upper levels), and each
+    /// leaf a thread tree links is the process tree's leaf for that
+    /// region. The process tree is checked first, so the thread trees'
+    /// lookups into it are safe. The only scratch is one bit per
+    /// decoded node.
+    fn validate_arena(&self) -> Result<(), String> {
+        let mut linked = vec![0u64; self.nodes.len().div_ceil(64)];
+        let roots =
+            std::iter::once(self.process_root).chain(self.thread_roots.iter().flatten().copied());
+        for root in roots {
+            self.link_node(root, &mut linked)
+                .map_err(|e| format!("root {root}: {e}"))?;
+            self.validate_node(root, 3, 0, root != self.process_root, &mut linked)?;
+        }
+        Ok(())
+    }
+
+    /// Mark node `n` as linked, failing if it is outside the arena or
+    /// already linked from another slot or root.
+    fn link_node(&self, n: u32, linked: &mut [u64]) -> Result<(), String> {
+        let i = n as usize;
+        if i >= self.nodes.len() {
+            return Err(format!(
+                "node {n} is past the node arena ({} nodes)",
+                self.nodes.len()
+            ));
+        }
+        let bit = 1u64 << (i % 64);
+        if linked[i / 64] & bit != 0 {
+            return Err(format!("node {n} is linked twice"));
+        }
+        linked[i / 64] |= bit;
+        Ok(())
+    }
+
+    /// Check node `n` at radix `level` (3 = root) covering VPN prefix
+    /// `prefix`, and everything below it.
+    fn validate_node(
+        &self,
+        n: u32,
+        level: usize,
+        prefix: u64,
+        thread_tree: bool,
+        linked: &mut [u64],
+    ) -> Result<(), String> {
+        for (i, &slot) in self.nodes[n as usize].slots.iter().enumerate() {
+            let at = prefix << LEVEL_BITS | i as u64;
+            match slot {
+                Slot::Empty => {}
+                Slot::Node(c) if level > 1 => {
+                    self.link_node(c, linked)
+                        .map_err(|e| format!("node {n} slot {i}: {e}"))?;
+                    self.validate_node(c, level - 1, at, thread_tree, linked)?;
+                }
+                Slot::Leaf(l) if level == 1 => {
+                    if l as usize >= self.leaves.len() {
+                        return Err(format!(
+                            "node {n} slot {i}: leaf {l} is past the leaf arena ({} leaves)",
+                            self.leaves.len()
+                        ));
+                    }
+                    if thread_tree {
+                        let shared = self.leaf_index_ro(self.process_root, Vpn(at << LEVEL_BITS));
+                        if shared != Some(l) {
+                            return Err(format!(
+                                "a thread tree links leaf {l} for region {at:#x}, \
+                                 where the process tree has {shared:?}"
+                            ));
+                        }
+                    }
+                }
+                Slot::Node(c) => {
+                    return Err(format!(
+                        "level-1 node {n} slot {i} holds node {c}; only leaf tables belong there"
+                    ))
+                }
+                Slot::Leaf(l) => {
+                    return Err(format!(
+                        "level-{level} node {n} slot {i} holds leaf {l}; \
+                         leaf tables belong only in level-1 nodes"
+                    ))
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Require the serialized mapped list to be exactly the process
+    /// tree's present PTEs, in address order, and their number to be
+    /// every present PTE in the leaf arena: a leaf the process tree
+    /// cannot reach, or reaches twice, breaks the second equality. The
+    /// comparison stops at the first difference, so it never walks
+    /// more than one entry past the list.
+    fn validate_mapped(&self, listed: &[u64]) -> Result<(), String> {
+        let mut walked = self.walk_mapped().map(|(v, _)| v.0);
+        for (i, &want) in listed.iter().enumerate() {
+            match walked.next() {
+                Some(got) if got == want => {}
+                Some(got) => {
+                    return Err(format!(
+                        "mapped list entry {i} is VPN {want:#x}, but the page tables map {got:#x} there"
+                    ))
+                }
+                None => {
+                    return Err(format!(
+                        "mapped list entry {i} is VPN {want:#x}, but the page tables map only {i} pages"
+                    ))
+                }
+            }
+        }
+        if let Some(extra) = walked.next() {
+            return Err(format!(
+                "the page tables map VPN {extra:#x} beyond the {} listed pages",
+                listed.len()
+            ));
+        }
+        let present: u64 = self.resident.iter().sum();
+        if present != listed.len() as u64 {
+            return Err(format!(
+                "the process tree reaches {} present PTEs, but the leaf tables hold {present}",
+                listed.len()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -1248,6 +1472,189 @@ mod tests {
         let v = with_leaf_ptes(&s.snapshot(), |ptes| ptes[6] = ptes[5]);
         let err = AddressSpace::restore(&v).unwrap_err();
         assert!(err.contains("mapped count 1 != 2 present PTEs"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the 36-bit page-table radix")]
+    fn map_beyond_the_radix_panics() {
+        // Without the check the top index wraps: VPN 2^36 would land in
+        // VPN 0's PTE while `is_mapped(Vpn(0))` stayed false.
+        space().map(Vpn(1 << 36), frame(1), LocalTid(0));
+    }
+
+    /// Replace the field `key` of a snapshot object.
+    fn with_field(
+        v: &vulcan_json::Value,
+        key: &str,
+        edit: impl FnOnce(&mut vulcan_json::Value),
+    ) -> vulcan_json::Value {
+        let mut v = v.clone();
+        let vulcan_json::Value::Object(m) = &mut v else {
+            panic!("snapshot is an object")
+        };
+        let mut field = m.get(key).expect("field present").clone();
+        edit(&mut field);
+        m.insert(key, field);
+        v
+    }
+
+    /// Overwrite slot `slot` of arena node `node` with the slot `code`.
+    fn with_slot(
+        v: &vulcan_json::Value,
+        node: usize,
+        slot: usize,
+        code: u64,
+    ) -> vulcan_json::Value {
+        with_field(v, "nodes", |nodes| {
+            let vulcan_json::Value::Array(nodes) = nodes else {
+                panic!("nodes is an array")
+            };
+            let mut codes = vulcan_json::snap::array_u64(&nodes[node]).expect("slot codes");
+            codes[slot] = code;
+            nodes[node] = vulcan_json::snap::u64_array(&codes);
+        })
+    }
+
+    fn with_mapped(v: &vulcan_json::Value, vpns: &[u64]) -> vulcan_json::Value {
+        with_field(v, "mapped", |m| *m = vulcan_json::snap::u64_array(vpns))
+    }
+
+    /// VPN 5 mapped and touched by thread 0. Arena: process root 0 →
+    /// node 1 → node 2 → leaf 0; thread 0's root 3 → node 4 → node 5 →
+    /// the same leaf 0.
+    fn one_page_snapshot() -> vulcan_json::Value {
+        use vulcan_json::Snapshot;
+        let mut s = space();
+        s.map(Vpn(5), frame(5), LocalTid(0));
+        s.touch(Vpn(5), LocalTid(0), false).unwrap();
+        assert_eq!((s.inner_node_count(), s.leaf_count()), (6, 1));
+        s.snapshot()
+    }
+
+    fn restore_err(v: &vulcan_json::Value) -> String {
+        use vulcan_json::Snapshot;
+        match AddressSpace::restore(v) {
+            Ok(_) => panic!("a corrupt arena must not restore"),
+            Err(e) => e,
+        }
+    }
+
+    /// Without the check this restored, and the first touch of the
+    /// region indexed past the node arena.
+    #[test]
+    fn restore_rejects_a_slot_past_the_node_arena() {
+        let err = restore_err(&with_slot(&one_page_snapshot(), 1, 0, SLOT_TAG_NODE | 99));
+        assert!(
+            err.contains("node 99 is past the node arena (6 nodes)"),
+            "{err}"
+        );
+    }
+
+    /// Without the check this restored, and the next map through the
+    /// slot reached `unreachable!("leaf above level 1")`.
+    #[test]
+    fn restore_rejects_a_leaf_above_level_one() {
+        let err = restore_err(&with_slot(&one_page_snapshot(), 0, 1, SLOT_TAG_LEAF));
+        assert!(
+            err.contains("level-3 node 0 slot 1 holds leaf 0; leaf tables belong only in level-1"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_node_at_level_one() {
+        let err = restore_err(&with_slot(&one_page_snapshot(), 2, 1, SLOT_TAG_NODE | 4));
+        assert!(
+            err.contains("level-1 node 2 slot 1 holds node 4; only leaf tables belong there"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_leaf_past_the_leaf_arena() {
+        let err = restore_err(&with_slot(&one_page_snapshot(), 2, 1, SLOT_TAG_LEAF | 7));
+        assert!(
+            err.contains("leaf 7 is past the leaf arena (1 leaves)"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_node_linked_twice() {
+        let v = one_page_snapshot();
+        // A second parent slot for node 1 (also a cycle-free alias).
+        let err = restore_err(&with_slot(&v, 0, 1, SLOT_TAG_NODE | 1));
+        assert!(err.contains("node 1 is linked twice"), "{err}");
+        // A thread sharing the process tree's root.
+        let shared_root = with_field(&v, "thread_roots", |r| {
+            *r = vulcan_json::snap::u64_array(&[0])
+        });
+        let err = restore_err(&shared_root);
+        assert!(err.contains("root 0: node 0 is linked twice"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_a_thread_tree_linking_a_foreign_leaf() {
+        use vulcan_json::Snapshot;
+        let mut s = space();
+        s.map(Vpn(5), frame(5), LocalTid(0));
+        s.touch(Vpn(5), LocalTid(0), false).unwrap();
+        s.map(Vpn(1 << 20), frame(6), LocalTid(0));
+        // Thread 0's level-1 node 5 now points region 0 at leaf 1.
+        let err = restore_err(&with_slot(&s.snapshot(), 5, 0, SLOT_TAG_LEAF | 1));
+        assert!(
+            err.contains(
+                "a thread tree links leaf 1 for region 0x0, where the process tree has Some(0)"
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_mapped_list_that_differs_from_the_leaves() {
+        let v = one_page_snapshot();
+        let err = restore_err(&with_mapped(&v, &[6]));
+        assert!(
+            err.contains("mapped list entry 0 is VPN 0x6, but the page tables map 0x5 there"),
+            "{err}"
+        );
+        let err = restore_err(&with_mapped(&v, &[5, 9]));
+        assert!(
+            err.contains("entry 1 is VPN 0x9, but the page tables map only 1 pages"),
+            "{err}"
+        );
+        let err = restore_err(&with_mapped(&v, &[]));
+        assert!(
+            err.contains("map VPN 0x5 beyond the 0 listed pages"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_leaf_the_process_tree_cannot_reach() {
+        use vulcan_json::Snapshot;
+        let mut s = space();
+        s.map(Vpn(5), frame(5), LocalTid(0));
+        s.map(Vpn(1 << 20), frame(6), LocalTid(0));
+        // Unlink leaf 1 (process node 3, slot 0) and drop its page from
+        // the list, so the list still matches the walk.
+        let v = with_mapped(&with_slot(&s.snapshot(), 3, 0, 0), &[5]);
+        let err = restore_err(&v);
+        assert!(
+            err.contains("the process tree reaches 1 present PTEs, but the leaf tables hold 2"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_leaf_the_process_tree_reaches_twice() {
+        // Leaf 0 linked for region 1 too, with the list matching the walk.
+        let v = with_slot(&one_page_snapshot(), 2, 1, SLOT_TAG_LEAF);
+        let err = restore_err(&with_mapped(&v, &[5, 512 + 5]));
+        assert!(
+            err.contains("the process tree reaches 2 present PTEs, but the leaf tables hold 1"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -78,6 +78,72 @@ proptest! {
         prop_assert_eq!(resident_counts(&back), resident_scan(&s));
     }
 
+    /// The mapped list the leaf tables yield is exactly the ordered set
+    /// of mapped VPNs it replaced, under `map`, `unmap`, `touch` and
+    /// `set_pte` flips between present and absent, with VPNs on both
+    /// sides of every radix boundary (2^9, 2^18, 2^27) and at the top of
+    /// the 2^36 range; a snapshot → restore yields the same list.
+    #[test]
+    fn mapped_ptes_match_an_ordered_set_model(
+        replication in any::<bool>(),
+        ops in proptest::collection::vec((0u8..5, 0usize..16, 0usize..3, 0u8..3), 1..200),
+    ) {
+        use std::collections::BTreeSet;
+        use vulcan_json::Snapshot;
+        const UNIVERSE: [u64; 16] = [
+            0, 1, 511, 512, 513,
+            (1 << 18) - 1, 1 << 18, (1 << 18) + 1,
+            (1 << 27) - 1, 1 << 27, (1 << 27) + 512, (3 << 27) + (1 << 18),
+            (1 << 35) + 7, (1 << 36) - 512, (1 << 36) - 2, (1 << 36) - 1,
+        ];
+        let mut s = AddressSpace::new(replication);
+        // The reference: the ordered set of mapped VPNs, and the regions
+        // that have a leaf table (only those accept `set_pte`).
+        let mut model: BTreeSet<u64> = BTreeSet::new();
+        let mut regions: BTreeSet<u64> = BTreeSet::new();
+        for (i, &(op, u, t, tid)) in ops.iter().enumerate() {
+            let v = UNIVERSE[u];
+            let vpn = Vpn(v);
+            let frame = FrameId { tier: TierKind::ALL[t], index: i as u32 };
+            match op {
+                0 => {
+                    if model.insert(v) {
+                        s.map(vpn, frame, LocalTid(tid));
+                        regions.insert(v >> 9);
+                    }
+                }
+                1 => {
+                    prop_assert_eq!(s.unmap(vpn).is_some(), model.remove(&v));
+                }
+                2 => {
+                    prop_assert_eq!(s.touch(vpn, LocalTid(tid), tid == 0).is_some(), model.contains(&v));
+                }
+                _ => {
+                    // present ⇄ absent through set_pte (migration ② and ⑤).
+                    if model.remove(&v) {
+                        s.set_pte(vpn, Pte::EMPTY);
+                    } else if regions.contains(&(v >> 9)) {
+                        s.set_pte(vpn, Pte::new(frame, LocalTid(tid)));
+                        model.insert(v);
+                    }
+                }
+            }
+            let listed: Vec<(Vpn, Pte)> = s.mapped_ptes().collect();
+            let want: Vec<(Vpn, Pte)> = model.iter().map(|&m| (Vpn(m), s.pte(Vpn(m)))).collect();
+            prop_assert_eq!(&listed, &want, "after op {}", i);
+            prop_assert_eq!(s.rss_pages(), model.len() as u64);
+            for &m in &UNIVERSE {
+                prop_assert_eq!(s.is_mapped(Vpn(m)), model.contains(&m), "vpn {:#x}", m);
+            }
+        }
+        let snap = s.snapshot();
+        let back = AddressSpace::restore(&snap).expect("restore");
+        prop_assert!(back.mapped_ptes().eq(s.mapped_ptes()));
+        prop_assert!(back.mapped_vpns().map(|v| v.0).eq(model.iter().copied()));
+        prop_assert_eq!(back.rss_pages(), model.len() as u64);
+        prop_assert_eq!(back.snapshot(), snap);
+    }
+
     /// PTE bit packing is lossless for every frame/owner/flag combination.
     #[test]
     fn pte_roundtrip(frame in arb_frame(), tid in 0u8..=0x7E, a in any::<bool>(), d in any::<bool>(), p in any::<bool>()) {
@@ -298,7 +364,7 @@ proptest! {
         let plan = shootdown::plan(&p, &topo, &vpns, ShootdownScope::ProcessWide);
         shootdown::execute(&plan, &p, &mut tlbs, &vulcan_sim::MigrationCosts::default(),
                            vulcan_vm::ShootdownMode::Batched);
-        for &core in &plan.targets {
+        for core in plan.targets.iter() {
             for &vpn in &vpns {
                 prop_assert_eq!(tlbs.core(core).lookup(p.asid, vpn), None);
             }
