@@ -1,9 +1,9 @@
 //! Access-throughput microbench for the per-access hot path.
 //!
-//! Unlike the criterion-style benches, this harness measures *wall-clock
-//! accesses per second* through `SimRunner::run_quantum` for three access
-//! mixes and emits the numbers to `BENCH_hotpath.json` at the repo root,
-//! so the hot-path perf trajectory is tracked from PR 3 onward:
+//! This harness measures *wall-clock accesses per second* through
+//! `SimRunner::run_quantum` for three access mixes and emits the numbers
+//! to `BENCH_hotpath.json` at the repo root, so the hot-path perf
+//! trajectory is tracked in-tree:
 //!
 //! - `hit_heavy`  — small preallocated working set, TLB-resident, read
 //!   mostly: the steady-state fast path (lookup + heat update).
@@ -221,45 +221,6 @@ fn best_shard_wall(shards: usize, warm: u64, measure: u64, reps: u32) -> (u128, 
     best.expect("at least one repetition")
 }
 
-/// Time one mix with the batched plane sweep forced on or off.
-/// Returns (wall_nanos, ops) — ops must match across the two settings.
-fn run_plane_cell(mix: &Mix, batched: bool) -> (u128, u64) {
-    let mut runner = SimRunner::builder()
-        .machine(mix.machine.clone())
-        .workloads(vec![mix.spec.clone()])
-        .policy(Box::new(StaticPlacement))
-        .config(SimConfig {
-            n_quanta: 0,
-            record_series: false,
-            seed: 42,
-            batched_planes: batched,
-            ..Default::default()
-        })
-        .build();
-    for _ in 0..mix.warm_quanta {
-        runner.run_quantum();
-    }
-    let ops_before = runner.state.workloads[0].stats.ops_total;
-    let t = Instant::now();
-    for _ in 0..mix.measure_quanta {
-        runner.run_quantum();
-    }
-    let wall = t.elapsed().as_nanos();
-    (wall, runner.state.workloads[0].stats.ops_total - ops_before)
-}
-
-/// Best-of-`reps` wall clock for one mix at a batched-planes setting.
-fn best_plane_wall(mix: &Mix, batched: bool, reps: u32) -> (u128, u64) {
-    let mut best: Option<(u128, u64)> = None;
-    for _ in 0..reps {
-        let run = run_plane_cell(mix, batched);
-        if best.map(|(w, _)| run.0 < w).unwrap_or(true) {
-            best = Some(run);
-        }
-    }
-    best.expect("at least one repetition")
-}
-
 fn baseline_path() -> std::path::PathBuf {
     match std::env::var_os("HOTPATH_BASELINE") {
         Some(p) => std::path::PathBuf::from(p),
@@ -409,34 +370,6 @@ fn main() {
                     .with("shard_speedup", speedup),
             ));
         }
-
-        // Batched-plane comparison: the hit-heavy cell through the scalar
-        // per-access loop versus the struct-of-arrays plane sweep
-        // (ISSUE 8). Identical simulated work, host wall clock only.
-        let mix_set = mixes(quick || smoke);
-        let hit = &mix_set[0];
-        debug_assert_eq!(hit.name, "hit_heavy");
-        let (scalar_wall, scalar_ops) = best_plane_wall(hit, false, reps);
-        let (plane_wall, plane_ops) = best_plane_wall(hit, true, reps);
-        assert_eq!(
-            scalar_ops, plane_ops,
-            "plane sweep must do identical simulated work"
-        );
-        let speedup = scalar_wall as f64 / plane_wall.max(1) as f64;
-        println!(
-            "hotpath/batched_speedup: {speedup:.2}x over the scalar loop \
-             ({:.2} ms -> {:.2} ms, {scalar_ops} ops)",
-            scalar_wall as f64 / 1e6,
-            plane_wall as f64 / 1e6,
-        );
-        rows.push(Value::Object(
-            Map::new()
-                .with("name", "batched_speedup")
-                .with("scalar_wall_ns", scalar_wall as u64)
-                .with("batched_wall_ns", plane_wall as u64)
-                .with("ops", scalar_ops)
-                .with("batched_speedup", speedup),
-        ));
     }
 
     let report = Map::new()

@@ -33,12 +33,12 @@ impl EpochOutcome {
 
 /// One batched access plane handed to a profiler at a chunk boundary.
 ///
-/// The plane *is* the event stream: every access produced exactly one
-/// `on_access(Vpn(offsets[i]), writes[i])` in the scalar path, and
-/// `hints` lists (ascending) the plane indices whose access was
-/// immediately preceded by an `on_hint_fault` with the same VPN and
-/// write flag. Replaying the plane in index order therefore reproduces
-/// the scalar event sequence bit for bit.
+/// The plane *is* the event stream: every access stands for exactly one
+/// `on_access(Vpn(offsets[i]), writes[i])`, and `hints` lists
+/// (ascending) the plane indices whose access was immediately preceded
+/// by an `on_hint_fault` with the same VPN and write flag. Replaying the
+/// plane in index order therefore reproduces the per-access event
+/// sequence bit for bit.
 #[derive(Clone, Copy, Debug)]
 pub struct AccessBatch<'a> {
     /// Page numbers, one per access, in issue order.

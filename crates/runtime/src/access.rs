@@ -1,25 +1,23 @@
 //! Per-access simulation: TLB → page walk → tier access, with demand
 //! paging, hint faults and replication faults.
 //!
-//! Two drivers share the same per-access semantics:
-//!
-//! * the **scalar loop** ([`run_thread_quantum`]'s fallback): one
-//!   [`simulate_access`] call per access, profiler fed inline;
-//! * the **batched plane sweep** (DESIGN §11): the generator fills a
-//!   struct-of-arrays [`AccessPlan`] for a whole chunk of ops, the TLB
-//!   probes read-hit runs over the flat planes, only cold accesses
-//!   (writes, misses, huge-region hits) drop into the full per-access
-//!   path, and the profiler consumes the executed plane once per chunk
-//!   via [`AccessBatch`]. Batching reorders *host* work only — simulated
-//!   latencies, stats and heat contents are byte-identical because every
-//!   reordered quantity (u64 latency sums, byte counters) commutes and
-//!   every order-sensitive one (f64 heat records, generator RNG draws)
-//!   is replayed in exact plane order.
+//! Every generator runs through one loop, the batched plane sweep
+//! (DESIGN §11): the generator fills a struct-of-arrays [`AccessPlan`]
+//! for a whole chunk of ops, the TLB probes read-hit runs over the flat
+//! planes, only cold accesses (writes, misses, huge-region hits) drop
+//! into the full per-access path, and the profiler consumes the
+//! executed plane once per chunk via [`AccessBatch`]. Batching reorders
+//! *host* work only — simulated latencies, stats and heat contents are
+//! byte-identical to one-access-at-a-time execution because every
+//! reordered quantity (u64 latency sums, byte counters, fault rolls of
+//! distinct sites) commutes and every order-sensitive one (f64 heat
+//! records, generator RNG draws, one site's fault rolls) is replayed in
+//! exact plane order.
 
 use crate::state::{WorkloadState, WorkloadStats};
 use vulcan_migrate::ShadowRegistry;
 use vulcan_profile::{AccessBatch, AnyProfiler};
-use vulcan_sim::{CoreId, FaultSite, Machine, Nanos, TierKind};
+use vulcan_sim::{CoreId, FaultPlan, FaultSite, Machine, Nanos, TierKind};
 use vulcan_vm::{LocalTid, Process, TlbArray, Vpn};
 use vulcan_workloads::AccessPlan;
 
@@ -45,77 +43,18 @@ const ALLOC_RETRY_STALL: Nanos = Nanos(10_000);
 /// Ops per batched plane chunk. Large enough to amortize the per-chunk
 /// profiler flush and latency loads, small enough that the rewind replay
 /// on budget exhaustion stays cheap.
-const BATCH_OPS: usize = 128;
-
-/// Feed an access to the profiler unless the fault plan drops the
-/// sample. A drop is self-recovering — the page's heat simply decays as
-/// if it were cold — so the recovery is tallied at the injection point.
-///
-/// `drops_armed` is hoisted per thread-quantum: with no sample-drop plan
-/// armed the per-access `FaultPlan` roll is skipped entirely, which is
-/// byte-identical because a disabled or rate-0 roll returns `false`
-/// without consuming RNG state or touching counters.
-#[inline]
-fn profile_access(
-    machine: &mut Machine,
-    profiler: &mut AnyProfiler,
-    drops_armed: bool,
-    vpn: Vpn,
-    write: bool,
-) {
-    debug_assert_eq!(drops_armed, machine.faults.sample_drops_armed());
-    if drops_armed && machine.faults.sample_dropped() {
-        machine.faults.note_recovery(FaultSite::SampleDrop);
-    } else {
-        profiler.on_access(vpn, write);
-    }
-}
-
-/// Simulate one memory access of `tid` to `vpn`; returns its latency.
-/// Feeds the profiler inline (hint fault first, then the access), in
-/// exactly the order the pre-batching scalar path used.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_access(
-    machine: &mut Machine,
-    tlbs: &mut TlbArray,
-    process: &mut Process,
-    profiler: &mut AnyProfiler,
-    shadows: &mut ShadowRegistry,
-    stats: &mut WorkloadStats,
-    quota: u64,
-    thp: bool,
-    drops_armed: bool,
-    core: CoreId,
-    tid: LocalTid,
-    vpn: Vpn,
-    write: bool,
-) -> Nanos {
-    let (t, hint) = simulate_access_unprofiled(
-        machine, tlbs, process, shadows, stats, quota, thp, core, tid, vpn, write,
-    );
-    // Profiler events trail the machine state changes of the access they
-    // belong to, and the hint fault precedes the access itself — the
-    // same sequence the monolithic path produced. Neither call touches
-    // machine state except the (armed-only) sample-drop roll, which in
-    // the monolithic path also ran after every allocation roll of this
-    // access.
-    if hint {
-        profiler.on_hint_fault(vpn, write);
-    }
-    profile_access(machine, profiler, drops_armed, vpn, write);
-    t
-}
+pub(crate) const BATCH_OPS: usize = 128;
 
 /// The machine/VM side of one access, with every profiler call hoisted
 /// out: returns the access latency and whether it took a hint fault (the
 /// caller owes the profiler `on_hint_fault` + `on_access`, in that
-/// order). The batched sweep defers those to a per-chunk plane flush.
+/// order). The plane sweep defers those to its per-chunk flush.
 #[allow(clippy::too_many_arguments)]
 // Allow-listed for the ISSUE 5 lint gate: every expect below guards a
 // mapping invariant established earlier on the same path (a page just
 // mapped, touched or capacity-checked), not an external condition.
 #[allow(clippy::expect_used)]
-fn simulate_access_unprofiled(
+pub(crate) fn simulate_access_unprofiled(
     machine: &mut Machine,
     tlbs: &mut TlbArray,
     process: &mut Process,
@@ -347,13 +286,33 @@ fn try_thp_fault(
     true
 }
 
-/// Run one thread of a workload for (at least) `budget` of simulated time,
-/// completing whole operations. Dispatches to the batched plane sweep
-/// when `batched` is requested, the generator supports plan filling, and
-/// no fault plan is armed (fault rolls are interleaved per access, so
-/// injection runs force the scalar loop).
-// Allow-listed for the ISSUE 5 lint gate: thread indices and core
-// pinning are construction-time invariants, not runtime conditions.
+/// Run one thread of a workload for (at least) `budget` of simulated
+/// time, completing whole operations, as the batched plane sweep
+/// (DESIGN §11). Per chunk of [`BATCH_OPS`] ops:
+///
+/// 1. **fill** — the generator writes a struct-of-arrays [`AccessPlan`]
+///    (generator state and RNG snapshotted first, for the budget
+///    rewind);
+/// 2. **probe** — [`Tlb::probe_read_one`](vulcan_vm::Tlb) consumes runs
+///    of base-page read hits per op segment, applying exactly
+///    `lookup`'s clock/stamp/hit effects, while hit latencies
+///    accumulate as `count × loaded-latency` (u64 products, so sums
+///    match per-access order bit-for-bit);
+/// 3. **cold** — the access that stopped the probe (a write, a
+///    huge-region page, or a TLB miss) runs the full
+///    [`simulate_access_unprofiled`] walk/fault path;
+/// 4. **flush** — the executed plane prefix feeds the profiler once via
+///    [`AnyProfiler::on_access_batch`], hint positions interleaved in
+///    plane order, reproducing the per-access event sequence exactly.
+///    Under an armed sample-drop plan the flush replays the plane
+///    access by access instead ([`flush_dropping_samples`]).
+///
+/// Budget is checked per op. If it exhausts mid-chunk, the generator
+/// and RNG are rewound to the op boundary: both snapshots are restored
+/// and the fill is replayed for exactly the executed ops.
+// Allow-listed for the crate's no-panic lint gate: thread indices, core
+// pinning and a generator restoring its own snapshot are
+// construction-time invariants, not runtime conditions.
 #[allow(clippy::expect_used)]
 pub(crate) fn run_thread_quantum(
     machine: &mut Machine,
@@ -361,14 +320,10 @@ pub(crate) fn run_thread_quantum(
     ws: &mut WorkloadState,
     thread_idx: usize,
     budget: Nanos,
-    batched: bool,
 ) {
-    if budget == Nanos::ZERO {
-        ws.stats.active_q += Nanos::ZERO;
-        return;
-    }
-    if batched && ws.gen.batchable() && !machine.faults.is_enabled() {
-        run_thread_quantum_batched(machine, tlbs, ws, thread_idx, budget);
+    #[cfg(test)]
+    if crate::reference::selected() {
+        crate::reference::run_thread_quantum(machine, tlbs, ws, thread_idx, budget);
         return;
     }
     let quota = ws.effective_quota();
@@ -392,81 +347,6 @@ pub(crate) fn run_thread_quantum(
         .core_of(process.sim_thread(tid))
         .expect("threads are pinned at construction");
     let rng = &mut rngs[thread_idx];
-    let mut buf: Vec<vulcan_workloads::PageAccess> = Vec::with_capacity(16);
-    let mut used = Nanos::ZERO;
-    while used < budget {
-        buf.clear();
-        gen.next_op(thread_idx, rng, &mut buf);
-        let mut t = gen.fixed_op_nanos();
-        for a in &buf {
-            t += simulate_access(
-                machine,
-                tlbs,
-                process,
-                profiler,
-                shadows,
-                stats,
-                quota,
-                thp,
-                drops_armed,
-                core,
-                tid,
-                Vpn(a.offset),
-                a.write,
-            );
-        }
-        used += t;
-        stats.ops_q += 1;
-        stats.ops_total += 1;
-        stats.op_latency_q += t;
-    }
-    ws.stats.active_q += used;
-}
-
-/// The batched plane sweep (DESIGN §11). Per chunk of [`BATCH_OPS`] ops:
-///
-/// 1. **fill** — the generator writes a struct-of-arrays [`AccessPlan`]
-///    (RNG snapshot taken first, for the budget-exhaustion rewind);
-/// 2. **probe** — [`Tlb::probe_read_one`](vulcan_vm::Tlb) consumes runs
-///    of base-page read hits per op segment, applying exactly
-///    `lookup`'s clock/stamp/hit effects, while hit latencies
-///    accumulate as `count × loaded-latency` (u64 products, so sums
-///    match the scalar order bit-for-bit);
-/// 3. **cold** — the access that stopped the probe (a write, a
-///    huge-region page, or a TLB miss) runs the full
-///    [`simulate_access_unprofiled`] walk/fault path;
-/// 4. **flush** — the executed plane prefix feeds the profiler once via
-///    [`AnyProfiler::on_access_batch`], hint positions interleaved in
-///    plane order, reproducing the scalar event sequence exactly.
-///
-/// Budget is checked per op, as in the scalar loop. If it exhausts
-/// mid-chunk, the generator and RNG are rewound to the op boundary by
-/// replaying the fill for the consumed prefix.
-#[allow(clippy::expect_used)] // same construction-time invariants as the scalar loop
-fn run_thread_quantum_batched(
-    machine: &mut Machine,
-    tlbs: &mut TlbArray,
-    ws: &mut WorkloadState,
-    thread_idx: usize,
-    budget: Nanos,
-) {
-    let quota = ws.effective_quota();
-    let thp = ws.spec.thp;
-    let tid = LocalTid(u8::try_from(thread_idx).expect("thread index fits the 7-bit PTE field"));
-    let WorkloadState {
-        gen,
-        rngs,
-        process,
-        profiler,
-        shadows,
-        stats,
-        ..
-    } = ws;
-    let core = machine
-        .topology
-        .core_of(process.sim_thread(tid))
-        .expect("threads are pinned at construction");
-    let rng = &mut rngs[thread_idx];
     let fixed = gen.fixed_op_nanos();
     let tlb_hit = machine.spec().access_costs.tlb_hit;
     let asid = process.asid;
@@ -478,7 +358,8 @@ fn run_thread_quantum_batched(
 
     while used < budget {
         plan.clear();
-        let snapshot = rng.clone();
+        let gen_snapshot = gen.snapshot_state();
+        let rng_snapshot = rng.clone();
         let filled = gen.fill_batch(thread_idx, rng, &mut plan, BATCH_OPS);
         debug_assert!(filled > 0 && filled <= BATCH_OPS);
         hints.clear();
@@ -492,7 +373,7 @@ fn run_thread_quantum_batched(
         // `in_huge` screen entirely.
         let huge_possible = thp || process.space.huge_count() > 0;
         // Tier hits fold into per-chunk counters; every reordered
-        // quantity is a u64 sum, so totals match the scalar order
+        // quantity is a u64 sum, so totals match per-access order
         // bit-for-bit.
         let mut chunk_hits = [0u64; vulcan_sim::MAX_TIERS];
         let mut executed = 0usize; // accesses of the plan actually run
@@ -575,18 +456,24 @@ fn run_thread_quantum_batched(
             machine.record_accesses(*t, h);
         }
         // One profiler flush per chunk, over the executed plane prefix.
-        profiler.on_access_batch(&AccessBatch {
+        let batch = AccessBatch {
             offsets: &plan.offsets[..executed],
             writes: &plan.writes[..executed],
             hints: &hints,
-        });
+        };
+        if drops_armed {
+            flush_dropping_samples(&mut machine.faults, profiler, &batch);
+        } else {
+            profiler.on_access_batch(&batch);
+        }
         if ops_done < filled {
             // Budget exhausted mid-chunk: rewind generator and RNG to the
             // consumed op boundary by replaying the fill for exactly the
-            // executed ops, leaving both as `ops_done` scalar `next_op`
-            // calls would have.
-            gen.rollback_ops(thread_idx, filled);
-            *rng = snapshot;
+            // executed ops, leaving both as `ops_done` `next_op` calls
+            // would have.
+            gen.restore_state(&gen_snapshot)
+                .expect("a generator restores its own snapshot");
+            *rng = rng_snapshot;
             scratch.clear();
             let refilled = gen.fill_batch(thread_idx, rng, &mut scratch, ops_done);
             debug_assert_eq!(refilled, ops_done);
@@ -598,4 +485,31 @@ fn run_thread_quantum_batched(
         }
     }
     ws.stats.active_q += used;
+}
+
+/// The profiler flush under an armed sample-drop plan: the plane replays
+/// access by access in [`AccessBatch::replay_scalar`] order, rolling
+/// each access's drop decision just before its `on_access`. A drop is
+/// self-recovering — the page's heat simply decays as if it were cold —
+/// so the recovery is tallied at the roll.
+///
+/// Each fault site draws from its own counter-hash stream, so only the
+/// order of rolls *within* a site matters. The sample-drop rolls keep
+/// plane order here, and the allocation rolls keep it in the cold path,
+/// so rolling a chunk's drops at its flush rather than after each
+/// access leaves every decision unchanged.
+fn flush_dropping_samples(faults: &mut FaultPlan, profiler: &mut AnyProfiler, batch: &AccessBatch) {
+    debug_assert!(faults.sample_drops_armed());
+    let mut hints = batch.hints.iter().peekable();
+    for (i, (&offset, &write)) in batch.offsets.iter().zip(batch.writes).enumerate() {
+        let vpn = Vpn(offset);
+        if hints.next_if(|&&h| h as usize == i).is_some() {
+            profiler.on_hint_fault(vpn, write);
+        }
+        if faults.sample_dropped() {
+            faults.note_recovery(FaultSite::SampleDrop);
+        } else {
+            profiler.on_access(vpn, write);
+        }
+    }
 }

@@ -16,6 +16,8 @@
 mod access;
 pub mod checkpoint;
 pub mod policy;
+#[cfg(test)]
+mod reference;
 pub mod runner;
 pub mod shard;
 pub mod state;

@@ -54,12 +54,6 @@ pub struct SimConfig {
     /// injection enabled, fewer than two core-disjoint groups, a tier
     /// too full for the plenty guard) silently run sequentially.
     pub shards: usize,
-    /// Drive batch-capable generators through the struct-of-arrays plane
-    /// sweep (ISSUE 8) instead of the scalar per-access loop. Both paths
-    /// produce byte-identical results (the differential oracle holds
-    /// them in lockstep); this switch exists for benchmarking the scalar
-    /// baseline. Fault-injection runs always use the scalar loop.
-    pub batched_planes: bool,
 }
 
 impl Default for SimConfig {
@@ -74,7 +68,6 @@ impl Default for SimConfig {
             telemetry: Telemetry::disabled(),
             faults: FaultConfig::default(),
             shards: 1,
-            batched_planes: true,
         }
     }
 }
@@ -93,7 +86,6 @@ impl vulcan_json::Snapshot for SimConfig {
             ("record_series", Value::Bool(self.record_series)),
             ("faults", self.faults.snapshot()),
             ("shards", snap::u64_value(self.shards as u64)),
-            ("batched_planes", Value::Bool(self.batched_planes)),
         ])
     }
 
@@ -109,7 +101,6 @@ impl vulcan_json::Snapshot for SimConfig {
             telemetry: Telemetry::disabled(),
             faults: FaultConfig::restore(snap::field(v, "faults")?)?,
             shards: snap::field_usize(v, "shards")?,
-            batched_planes: snap::field_bool(v, "batched_planes")?,
         })
     }
 }
@@ -726,12 +717,8 @@ impl SimRunner {
 
         // Execute + profile (sharded when the determinism contract
         // holds; see `crate::shard`).
-        let mode = shard::execute_quantum(
-            &mut self.state,
-            self.cfg.quantum_active,
-            self.cfg.shards,
-            self.cfg.batched_planes,
-        );
+        let mode =
+            shard::execute_quantum(&mut self.state, self.cfg.quantum_active, self.cfg.shards);
         if let ExecuteMode::Sharded { .. } = mode {
             self.sharded_quanta += 1;
         }

@@ -134,20 +134,19 @@ pub(crate) fn execute_quantum(
     st: &mut SystemState,
     quantum: Nanos,
     requested: usize,
-    batched: bool,
 ) -> ExecuteMode {
     if requested > 1 && !st.telemetry.is_enabled() && !st.machine.faults.is_enabled() {
-        if let Some(shards) = try_execute_sharded(st, quantum, requested, batched) {
+        if let Some(shards) = try_execute_sharded(st, quantum, requested) {
             return ExecuteMode::Sharded { shards };
         }
     }
-    execute_sequential(st, quantum, batched);
+    execute_sequential(st, quantum);
     ExecuteMode::Sequential
 }
 
 /// The monolithic sweep: every thread of every started workload, then
 /// the bandwidth roll, then the profiling epochs.
-fn execute_sequential(st: &mut SystemState, quantum: Nanos, batched: bool) {
+fn execute_sequential(st: &mut SystemState, quantum: Nanos) {
     // Execute every thread of every started workload.
     for wi in 0..st.workloads.len() {
         if !st.workloads[wi].started {
@@ -157,7 +156,7 @@ fn execute_sequential(st: &mut SystemState, quantum: Nanos, batched: bool) {
         // mutably alongside it.
         let (machine, tlbs) = (&mut st.machine, &mut st.tlbs);
         let ws = &mut st.workloads[wi];
-        execute_workload(machine, tlbs, ws, quantum, batched);
+        execute_workload(machine, tlbs, ws, quantum);
     }
 
     // Roll bandwidth contention into the next quantum.
@@ -203,7 +202,6 @@ fn execute_workload(
     tlbs: &mut TlbArray,
     ws: &mut WorkloadState,
     quantum: Nanos,
-    batched: bool,
 ) {
     let n_threads = ws.spec.n_threads;
     // Charge pending sync-migration stall against this quantum.
@@ -211,7 +209,7 @@ fn execute_workload(
     ws.pending_stall = Nanos::ZERO;
     let budget = quantum.saturating_sub(stall_per_thread);
     for t in 0..n_threads {
-        run_thread_quantum(machine, tlbs, ws, t, budget, batched);
+        run_thread_quantum(machine, tlbs, ws, t, budget);
     }
     // Blocked time is wall time: it counts against throughput
     // (ops / active second) and inflates the quantum's op
@@ -224,12 +222,7 @@ fn execute_workload(
 /// Attempt the sharded sweep; `None` means a contract condition failed
 /// and the caller must run sequentially. On success returns the
 /// effective shard count.
-fn try_execute_sharded(
-    st: &mut SystemState,
-    quantum: Nanos,
-    requested: usize,
-    batched: bool,
-) -> Option<usize> {
+fn try_execute_sharded(st: &mut SystemState, quantum: Nanos, requested: usize) -> Option<usize> {
     let plan = plan_shards(st, requested);
     let n_shards = plan.shards.len();
     if n_shards <= 1 {
@@ -319,7 +312,7 @@ fn try_execute_sharded(
                     // carry the quantum's simulated time.
                     #[cfg(feature = "oracle")]
                     vulcan_oracle::set_now(now_ns);
-                    run_shard(&mut view, &mut tlbs, &mut workloads, quantum, batched);
+                    run_shard(&mut view, &mut tlbs, &mut workloads, quantum);
                     (view, tlbs)
                 })
             })
@@ -359,10 +352,9 @@ fn run_shard(
     tlbs: &mut TlbArray,
     workloads: &mut [&mut WorkloadState],
     quantum: Nanos,
-    batched: bool,
 ) {
     for ws in workloads.iter_mut() {
-        execute_workload(machine, tlbs, ws, quantum, batched);
+        execute_workload(machine, tlbs, ws, quantum);
     }
     for ws in workloads.iter_mut() {
         let out = ws.profiler.epoch(&mut ws.process.space);

@@ -5,6 +5,7 @@
 //! the final serialized state must be identical to the straight run.
 //! Any divergence is a hidden-state bug in some layer's `Snapshot`.
 
+use vulcan_json::{Map, Value};
 use vulcan_profile::{HintFaultProfiler, PebsProfiler};
 use vulcan_runtime::checkpoint::parse_checkpoint;
 use vulcan_runtime::{
@@ -157,6 +158,53 @@ fn identity_under_fault_injection() {
         },
         "static/faults",
     );
+}
+
+/// `checkpoint` with `key` appended to its `config` object.
+fn with_config_member(checkpoint: &Value, key: &str, value: Value) -> Value {
+    let mut root = Map::new();
+    for (k, v) in checkpoint.as_object().unwrap().iter() {
+        let v = match k {
+            "config" => Value::Object(v.as_object().unwrap().clone().with(key, value.clone())),
+            _ => v.clone(),
+        };
+        root.insert(k, v);
+    }
+    Value::Object(root)
+}
+
+/// Checkpoints written while `SimConfig` still chose between two access
+/// loops end their `config` object with a `"batched_planes"` member.
+/// Both loops produced the same bytes and only the plane sweep is left,
+/// so the member is ignored: such a checkpoint restores, with either
+/// value, and replays to the straight run's outcomes and final state.
+#[test]
+fn checkpoint_carrying_batched_planes_restores_and_replays() {
+    let cell = Cell {
+        policy: || Box::new(UniformPartition),
+        shards: 1,
+        faults: FaultConfig::default(),
+    };
+    let (total, at) = (10, 4);
+    let (straight, straight_fin) = drive(&cell, total, None);
+    for batched in [false, true] {
+        let mut runner = mk_runner(&cell, total);
+        let mut outcomes: Vec<QuantumOutcome> = (0..at).map(|_| runner.run_quantum()).collect();
+        let old_format = with_config_member(
+            &runner.checkpoint().unwrap(),
+            "batched_planes",
+            Value::Bool(batched),
+        );
+        let v = parse_checkpoint(&old_format.to_json()).unwrap();
+        runner = SimRunner::restore(&v, (cell.policy)(), |_| PebsProfiler::new(4)).unwrap();
+        outcomes.extend((at..total).map(|_| runner.run_quantum()));
+        assert_eq!(outcomes, straight, "batched_planes={batched}");
+        assert_eq!(
+            runner.checkpoint().unwrap().to_json(),
+            straight_fin,
+            "batched_planes={batched}"
+        );
+    }
 }
 
 #[test]

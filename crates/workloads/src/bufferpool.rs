@@ -79,10 +79,12 @@ enum Phase {
     Lookup,
 }
 
-/// Buffer-pool generator. Not batchable: the per-op phase bookkeeping
-/// (phase flips, hot-window slides) is stateful in a way the batched
-/// planes deliberately do not model, so the runtime drives it through
-/// the scalar per-op loop.
+/// Buffer-pool generator. Its per-thread phase bookkeeping (phase
+/// flips, hot-window slides) advances once per op, so it fills access
+/// planes through the default per-op
+/// [`fill_batch`](AccessGen::fill_batch), and the runtime rewinds an
+/// unconsumed fill with [`snapshot_state`](AccessGen::snapshot_state) /
+/// [`restore_state`](AccessGen::restore_state).
 #[derive(Clone, Debug)]
 pub struct BufferPool {
     cfg: BufferPoolConfig,
@@ -366,11 +368,5 @@ mod tests {
             .map(|a| a.offset)
             .collect();
         assert!(a0.is_disjoint(&a5), "scan extents are private");
-    }
-
-    #[test]
-    fn not_batchable() {
-        let bp = BufferPool::new(BufferPoolConfig::default());
-        assert!(!bp.batchable(), "phase state forces the scalar loop");
     }
 }

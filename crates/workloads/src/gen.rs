@@ -36,10 +36,10 @@ impl PageAccess {
     }
 }
 
-/// A quantum-sized batch of generated accesses for one thread, laid out
-/// as flat struct-of-arrays planes: page offsets and write flags live in
+/// A chunk of generated accesses for one thread, laid out as flat
+/// struct-of-arrays planes: page offsets and write flags live in
 /// parallel vectors, with per-op end indices so the runtime can account
-/// op latencies and the quantum budget exactly as the scalar loop does.
+/// op latencies and the quantum budget op by op.
 ///
 /// The planes are *generation output only* — the runtime sweeps them in
 /// stages (TLB probe, walk/fault, tier latency, heat record) without the
@@ -119,35 +119,28 @@ pub trait AccessGen: Send {
     /// accesses from a best-effort sweep saturating the memory system.
     fn fixed_op_nanos(&self) -> Nanos;
 
-    /// Whether this generator supports batched plan generation
-    /// ([`fill_batch`](Self::fill_batch) / [`rollback_ops`](Self::rollback_ops)).
-    /// Generators that return `false` are driven through the scalar
-    /// per-op loop.
-    fn batchable(&self) -> bool {
-        false
-    }
-
     /// Append `max_ops` further operations for thread `tid` to `plan`,
     /// returning how many were generated. Must consume generator state
-    /// and the RNG exactly as the same number of `next_op` calls would,
-    /// so a batched and a scalar run stay in lockstep.
+    /// and the RNG exactly as the same number of `next_op` calls would.
+    /// The default is exactly those calls, so a generator overrides it
+    /// only to fill faster.
     fn fill_batch(
         &mut self,
-        _tid: usize,
-        _rng: &mut SmallRng,
-        _plan: &mut AccessPlan,
-        _max_ops: usize,
+        tid: usize,
+        rng: &mut SmallRng,
+        plan: &mut AccessPlan,
+        max_ops: usize,
     ) -> usize {
-        debug_assert!(!self.batchable(), "batchable generators must fill batches");
-        0
-    }
-
-    /// Rewind this generator's own state by `n` operations for thread
-    /// `tid`, undoing the tail of a [`fill_batch`](Self::fill_batch) the
-    /// runtime could not consume (quantum budget exhausted mid-batch).
-    /// RNG state is the caller's to snapshot and restore.
-    fn rollback_ops(&mut self, _tid: usize, _n: usize) {
-        debug_assert!(!self.batchable(), "batchable generators must roll back");
+        let mut op = Vec::new();
+        for _ in 0..max_ops {
+            op.clear();
+            self.next_op(tid, rng, &mut op);
+            for a in &op {
+                plan.push_access(a.offset, a.write);
+            }
+            plan.end_op();
+        }
+        max_ops
     }
 
     /// Serialize the generator's *mutable* state — cursors, phase
@@ -155,6 +148,11 @@ pub trait AccessGen: Send {
     /// included: a restore rebuilds the generator from its
     /// [`WorkloadSpec`](crate::WorkloadSpec) and then replays this state
     /// into it. Stateless generators return an empty object.
+    ///
+    /// The runtime also takes this snapshot before every
+    /// [`fill_batch`](Self::fill_batch) and restores it to rewind ops the
+    /// quantum budget did not consume, so it must capture every piece of
+    /// state `next_op` advances.
     fn snapshot_state(&self) -> vulcan_json::Value {
         vulcan_json::snap::obj(vec![])
     }

@@ -152,10 +152,6 @@ impl AccessGen for Microbench {
         self.cfg.fixed_op
     }
 
-    fn batchable(&self) -> bool {
-        true
-    }
-
     /// Batched generation: the per-op loop of [`next_op`] with the config
     /// loads hoisted, filling the struct-of-arrays planes directly. The
     /// RNG draw order (Zipf rank, then write decision, per access) is the
@@ -231,7 +227,7 @@ impl AccessGen for Microbench {
         while done < max_ops {
             let ops_now = ops_per_block.min(max_ops - done);
             let n = ops_now * k;
-            // Phase 1: the RNG stream, exactly as the scalar loop draws
+            // Phase 1: the RNG stream, exactly as `next_op` draws
             // it — u then w, per access. Buffering first means the only
             // serially dependent work (the RNG state chain) runs as a
             // tight loop, and the resolves below are independent.
@@ -265,12 +261,6 @@ impl AccessGen for Microbench {
             done += ops_now;
         }
         max_ops
-    }
-
-    fn rollback_ops(&mut self, _tid: usize, n: usize) {
-        // `ops` is the only generator state `next_op` advances, so a
-        // rollback is a subtraction; the caller restores the RNG.
-        self.ops -= n as u64;
     }
 
     fn snapshot_state(&self) -> vulcan_json::Value {

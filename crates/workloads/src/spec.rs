@@ -379,6 +379,26 @@ mod tests {
         }
     }
 
+    /// One spec of every generator kind, at its default configuration.
+    fn one_of_each_kind() -> Vec<WorkloadSpec> {
+        let trace = {
+            let mut g = Microbench::new(MicroConfig {
+                rss_pages: 256,
+                wss_pages: 64,
+                ..Default::default()
+            });
+            Arc::new(Trace::record(&mut g, 2, 10, 7))
+        };
+        vec![
+            memcached(),
+            pagerank(),
+            liblinear(),
+            microbench("mb", MicroConfig::default(), 4),
+            bufferpool("bp", BufferPoolConfig::default(), 4),
+            replay("rp", trace, WorkloadClass::BestEffort),
+        ]
+    }
+
     /// Every stateful generator must resume exactly where it left off: a
     /// fresh generator built from the restored spec plus
     /// `restore_state` produces the same access stream as the original
@@ -388,23 +408,7 @@ mod tests {
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
         use vulcan_json::Snapshot;
-        let trace = {
-            let mut g = Microbench::new(MicroConfig {
-                rss_pages: 256,
-                wss_pages: 64,
-                ..Default::default()
-            });
-            Arc::new(Trace::record(&mut g, 2, 10, 7))
-        };
-        let specs = vec![
-            memcached(),
-            pagerank(),
-            liblinear(),
-            microbench("mb", MicroConfig::default(), 4),
-            bufferpool("bp", BufferPoolConfig::default(), 4),
-            replay("rp", trace, WorkloadClass::BestEffort),
-        ];
-        for spec in specs {
+        for spec in one_of_each_kind() {
             let mut rng = SmallRng::seed_from_u64(11);
             let mut gen = spec.build();
             let mut buf = Vec::new();
@@ -440,6 +444,66 @@ mod tests {
         }
     }
 
+    /// The runtime's fill-and-rewind protocol, for every generator: a
+    /// chunk filled by `fill_batch`, of which only a prefix is consumed
+    /// (a quantum budget running out mid-chunk), is rewound through
+    /// `snapshot_state`/`restore_state` plus an RNG snapshot and
+    /// refilled for that prefix. Plans, generator state and RNG must
+    /// match the same number of `next_op` calls exactly.
+    #[test]
+    fn fill_and_rewind_match_next_op_for_every_generator() {
+        use crate::gen::{AccessPlan, PageAccess};
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        const CHUNK: usize = 128;
+        for spec in one_of_each_kind() {
+            let (mut ops, mut planes) = (spec.build(), spec.build());
+            let mut ops_rng = SmallRng::seed_from_u64(5);
+            let mut planes_rng = SmallRng::seed_from_u64(5);
+            let (mut plan, mut refill) = (AccessPlan::default(), AccessPlan::default());
+            let mut op = Vec::new();
+            for round in 0..24 {
+                let tid = round % spec.n_threads;
+                let consumed = (round * 37) % CHUNK + 1;
+                let state = planes.snapshot_state();
+                let rng_before = planes_rng.clone();
+                plan.clear();
+                assert_eq!(
+                    planes.fill_batch(tid, &mut planes_rng, &mut plan, CHUNK),
+                    CHUNK
+                );
+                assert_eq!(plan.ops(), CHUNK);
+                for i in 0..consumed {
+                    op.clear();
+                    ops.next_op(tid, &mut ops_rng, &mut op);
+                    let (start, end) = plan.op_range(i);
+                    let filled: Vec<PageAccess> = (start..end)
+                        .map(|j| PageAccess {
+                            offset: plan.offsets[j],
+                            write: plan.writes[j],
+                        })
+                        .collect();
+                    assert_eq!(filled, op, "{}: round {round} op {i}", spec.name);
+                }
+                if consumed < CHUNK {
+                    planes.restore_state(&state).expect("own snapshot restores");
+                    planes_rng = rng_before;
+                    refill.clear();
+                    planes.fill_batch(tid, &mut planes_rng, &mut refill, consumed);
+                    let (_, end) = plan.op_range(consumed - 1);
+                    assert_eq!(refill.offsets, plan.offsets[..end], "{}", spec.name);
+                }
+                assert_eq!(
+                    planes.snapshot_state(),
+                    ops.snapshot_state(),
+                    "{}: generator state after round {round}",
+                    spec.name
+                );
+                assert_eq!(planes_rng.state(), ops_rng.state(), "{}", spec.name);
+            }
+        }
+    }
+
     #[test]
     fn bufferpool_spec() {
         let w = bufferpool("bufpool", BufferPoolConfig::default(), 4).with_thp();
@@ -450,6 +514,5 @@ mod tests {
         // The spec's thread count overrides the config's.
         let g = w.build();
         assert_eq!(g.rss_pages(), w.rss_pages());
-        assert!(!g.batchable());
     }
 }

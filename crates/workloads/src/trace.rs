@@ -6,7 +6,7 @@
 //! reproducible across generator changes and lets externally produced
 //! traces (converted to the JSON schema) drive the simulator.
 
-use crate::gen::{AccessGen, AccessPlan, PageAccess};
+use crate::gen::{AccessGen, PageAccess};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -222,34 +222,6 @@ impl AccessGen for TraceReplayer {
 
     fn fixed_op_nanos(&self) -> Nanos {
         Nanos(self.trace.fixed_op_nanos)
-    }
-
-    fn batchable(&self) -> bool {
-        true
-    }
-
-    fn fill_batch(
-        &mut self,
-        tid: usize,
-        _rng: &mut SmallRng,
-        plan: &mut AccessPlan,
-        max_ops: usize,
-    ) -> usize {
-        let list = &self.per_thread[tid];
-        for _ in 0..max_ops {
-            let op = &self.trace.ops[list[self.cursors[tid] % list.len()]];
-            self.cursors[tid] += 1;
-            for &(offset, write) in &op.accesses {
-                plan.push_access(offset, write);
-            }
-            plan.end_op();
-        }
-        max_ops
-    }
-
-    fn rollback_ops(&mut self, tid: usize, n: usize) {
-        // Replay consumes no RNG; the cursor is the only state.
-        self.cursors[tid] -= n;
     }
 
     fn snapshot_state(&self) -> vulcan_json::Value {
