@@ -33,8 +33,7 @@ use vulcan::runtime::SystemState;
 pub type PolicyFactory = Arc<dyn Fn() -> Box<dyn TieringPolicy> + Send + Sync>;
 
 /// Builds a fresh profiler for one workload of one cell. Returning
-/// [`AnyProfiler`] keeps the runtime's enum-dispatch fast path; custom
-/// profilers ride along as `AnyProfiler::Custom`.
+/// [`AnyProfiler`] keeps the runtime's enum-dispatch fast path.
 pub type ProfilerFactory = Arc<dyn Fn(&WorkloadSpec) -> AnyProfiler + Send + Sync>;
 
 /// Derive the seed of trial `trial` in a sweep with base seed `base`.

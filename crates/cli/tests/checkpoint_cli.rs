@@ -157,9 +157,10 @@ fn replace_at(
     }
 }
 
-/// A checkpoint whose page tables or in-flight queue are corrupt parses
-/// as JSON but must not restore: every case exits 2 with a pointed
-/// `invalid checkpoint` message, never a panic on the first touch.
+/// A checkpoint whose page tables, in-flight queue or heat map are
+/// corrupt parses as JSON but must not restore: every case exits 2 with
+/// a pointed `invalid checkpoint` message, never a panic or a hang on
+/// the first touch.
 #[test]
 fn corrupt_page_tables_and_inflight_queue_exit_2() {
     use vulcan_json::{snap, Value};
@@ -175,11 +176,14 @@ fn corrupt_page_tables_and_inflight_queue_exit_2() {
             .arg(&ck),
     );
     let v = vulcan_json::parse(&std::fs::read_to_string(&ck).unwrap()).unwrap();
+    let lookup = |path: &[&str]| {
+        path.iter().fold(&v, |v, k| match v {
+            Value::Array(a) => &a[k.parse::<usize>().unwrap()],
+            _ => v.get(k).unwrap(),
+        })
+    };
     let space_path = ["state", "workloads", "0", "process", "space"];
-    let space = space_path.iter().fold(&v, |v, k| match v {
-        Value::Array(a) => &a[k.parse::<usize>().unwrap()],
-        _ => v.get(k).unwrap(),
-    });
+    let space = lookup(&space_path);
     let root = snap::field_u64(space, "process_root").unwrap() as usize;
     let root_slots =
         snap::array_u64(&space.get("nodes").unwrap().as_array().unwrap()[root]).unwrap();
@@ -212,6 +216,30 @@ fn corrupt_page_tables_and_inflight_queue_exit_2() {
             value,
         )
     });
+    let heat_path = [&space_path[..3], &["profiler", "state", "pebs", "heat"]].concat();
+    let live = snap::array_u64(lookup(&heat_path).get("live").unwrap()).unwrap();
+    let with_heat = |fields: Vec<(&str, Value)>| {
+        fields.into_iter().fold(v.clone(), |acc, (field, value)| {
+            replace_at(&acc, &[&heat_path[..], &[field]].concat(), value)
+        })
+    };
+    let infinite_heat = with_heat(vec![(
+        "heat",
+        snap::f64_array(&vec![f64::INFINITY; live.len()]),
+    )]);
+    // Every slot taken and none counted: a probe for an absent key would
+    // never meet an empty slot.
+    let full_spill = with_heat(vec![
+        (
+            "spill_keys",
+            snap::u64_array(&((1 << 21)..(1 << 21) + 64).collect::<Vec<u64>>()),
+        ),
+        ("spill_stamps", snap::u64_array(&[0; 64])),
+        ("spill_heat", snap::f64_array(&[0.0; 64])),
+        ("spill_reads", snap::f64_array(&[0.0; 64])),
+        ("spill_writes", snap::f64_array(&[0.0; 64])),
+        ("spill_used", snap::u64_value(0)),
+    ]);
     let cases = [
         (
             with_root_slot((1 << 32) | 999_999),
@@ -230,6 +258,8 @@ fn corrupt_page_tables_and_inflight_queue_exit_2() {
             "mapped list entry 0",
         ),
         (twice, "is in flight twice"),
+        (infinite_heat, "not non-negative finite"),
+        (full_spill, "disagrees with 64 occupied spill keys"),
     ];
     for (i, (corrupt, want)) in cases.iter().enumerate() {
         let path = dir.join(format!("corrupt{i}.json"));

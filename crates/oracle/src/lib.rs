@@ -47,7 +47,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Structure {
     /// `profile::heat::HeatMap` (flat epoch-versioned table + spill) vs
-    /// the reference `HashMap` model ([`RefHeat`]).
+    /// the reference `HashMap` model ([`RefHeat`]), compared after every
+    /// `record` and `decay_epoch`.
     Heat,
     /// `vm::table`'s software walk caches vs the uncached radix walk.
     Walk,
@@ -203,9 +204,9 @@ pub struct RefStats {
 
 /// The reference heat model: the exact `HashMap` semantics
 /// `profile::heat::HeatMap` replaced with its flat epoch-versioned
-/// table. Every operation mirrors the pre-optimization implementation —
-/// same arithmetic, same order — so a correct flat table must match it
-/// *bitwise*, not approximately.
+/// table. It mirrors the two operations that change heat, `record` and
+/// `decay_epoch`, with the same arithmetic in the same order, so a
+/// correct flat table must match it *bitwise*, not approximately.
 #[derive(Clone, Debug, Default)]
 pub struct RefHeat {
     map: std::collections::HashMap<u64, RefStats>,
@@ -239,11 +240,6 @@ impl RefHeat {
         });
     }
 
-    /// Remove `key` (`HashMap::remove`).
-    pub fn forget(&mut self, key: u64) {
-        self.map.remove(&key);
-    }
-
     /// Install exact statistics for `key`, bypassing the arithmetic
     /// path — checkpoint restore rebuilds the shadow model bitwise from
     /// serialized state, so subsequent oracle diffs stay exact.
@@ -269,25 +265,6 @@ impl RefHeat {
     /// Whether no keys are tracked.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Iterate `(key, stats)` in arbitrary (hash) order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &RefStats)> {
-        self.map.iter().map(|(&k, s)| (k, s))
-    }
-
-    /// The `n` extreme keys under heat, best first, ties broken by key —
-    /// a full sort of the whole model, the obviously-correct selection
-    /// the optimized `select_nth_unstable_by` path must reproduce.
-    pub fn top_heat(&self, n: usize, hottest: bool) -> Vec<(u64, f64)> {
-        let mut v: Vec<(u64, f64)> = self.map.iter().map(|(&k, s)| (k, s.heat)).collect();
-        v.sort_by(|a, b| {
-            let ord = a.1.partial_cmp(&b.1).expect("heat is never NaN");
-            let ord = if hottest { ord.reverse() } else { ord };
-            ord.then(a.0.cmp(&b.0))
-        });
-        v.truncate(n);
-        v
     }
 }
 
@@ -365,18 +342,5 @@ mod tests {
         h.decay(0.5, 1e-3);
         assert_eq!(h.get(1).heat, 2.5);
         assert!(!h.contains(2), "negligible key pruned");
-        h.forget(1);
-        assert!(h.is_empty());
-        assert_eq!(h.get(1), RefStats::default());
-    }
-
-    #[test]
-    fn top_heat_orders_with_key_tiebreak() {
-        let mut h = RefHeat::new();
-        for (k, w) in [(3u64, 5.0), (1, 9.0), (2, 5.0)] {
-            h.record(k, false, w);
-        }
-        assert_eq!(h.top_heat(3, true), vec![(1, 9.0), (2, 5.0), (3, 5.0)]);
-        assert_eq!(h.top_heat(2, false), vec![(2, 5.0), (3, 5.0)]);
     }
 }

@@ -1,14 +1,11 @@
 //! Enum-dispatch profiler engine for the per-access hot path.
 //!
-//! `Box<dyn Profiler>` costs a virtual call per simulated access — by far
-//! the most frequent call in the simulator. [`AnyProfiler`] closes that
-//! hole: the runtime stores the concrete profiler in an enum and the
-//! access path dispatches through a `match`, which the compiler inlines
-//! into the access loop. `dyn Profiler` stays the extension point at the
-//! policy boundary: anything not in the closed set rides along in the
-//! [`AnyProfiler::Custom`] variant with the old virtual-call cost, and
-//! `AnyProfiler` itself implements [`Profiler`], so policy-side code that
-//! wants a trait object just coerces it.
+//! `Box<dyn Profiler>` would cost a virtual call per simulated access —
+//! by far the most frequent call in the simulator. [`AnyProfiler`] avoids
+//! it: the runtime stores the concrete profiler in an enum over the
+//! closed set of profilers this crate implements, and the access path
+//! dispatches through a `match`, which the compiler inlines into the
+//! access loop.
 
 use crate::advanced::{ChronoProfiler, TelescopeProfiler};
 use crate::heat::HeatMap;
@@ -16,16 +13,13 @@ use crate::sampler::{
     AccessBatch, EpochOutcome, HintFaultProfiler, HybridProfiler, PebsProfiler, Profiler,
     PtScanProfiler,
 };
-use vulcan_sim::Nanos;
 use vulcan_vm::{AddressSpace, Vpn};
 
 /// A profiler held by value, dispatched by `match` on the access path.
 ///
-/// Every concrete profiler in this crate has a variant; out-of-tree
-/// implementations use [`AnyProfiler::Custom`] (and keep dyn-dispatch
-/// cost). All `From` conversions are provided, including from
-/// `Box<ConcreteProfiler>` and `Box<dyn Profiler>`, so existing factory
-/// closures keep working unchanged via `.into()`.
+/// Every concrete profiler in this crate has a variant. `From` converts
+/// each concrete profiler, boxed or not, so factory closures return
+/// either via `.into()`.
 pub enum AnyProfiler {
     /// PEBS-style event sampling ([`PebsProfiler`]).
     Pebs(PebsProfiler),
@@ -39,8 +33,6 @@ pub enum AnyProfiler {
     Chrono(ChronoProfiler),
     /// Hierarchical page-table profiling ([`TelescopeProfiler`]).
     Telescope(TelescopeProfiler),
-    /// Any other [`Profiler`] implementation, dyn-dispatched.
-    Custom(Box<dyn Profiler>),
 }
 
 /// Statically dispatch a method over every variant.
@@ -53,10 +45,6 @@ macro_rules! dispatch {
             AnyProfiler::Hybrid($p) => $body,
             AnyProfiler::Chrono($p) => $body,
             AnyProfiler::Telescope($p) => $body,
-            AnyProfiler::Custom($p) => {
-                let $p: &mut dyn Profiler = &mut **$p;
-                $body
-            }
         }
     };
 }
@@ -71,10 +59,6 @@ macro_rules! dispatch_ref {
             AnyProfiler::Hybrid($p) => $body,
             AnyProfiler::Chrono($p) => $body,
             AnyProfiler::Telescope($p) => $body,
-            AnyProfiler::Custom($p) => {
-                let $p: &dyn Profiler = &**$p;
-                $body
-            }
         }
     };
 }
@@ -95,12 +79,9 @@ impl AnyProfiler {
     /// Observe one quantum chunk's access plane (the batch boundary —
     /// enum dispatch runs once per plane, not once per access).
     ///
-    /// Under the `oracle` feature every concrete-variant batch runs in
-    /// lockstep with a scalar replay of the same plane on a clone of the
-    /// profiler, and the touched heat entries are compared bitwise.
-    /// [`AnyProfiler::Custom`] always takes the scalar replay (a boxed
-    /// `dyn Profiler` cannot be cloned, and its default batch method is
-    /// the replay itself, so there is nothing to diff).
+    /// Under the `oracle` feature every batch runs in lockstep with a
+    /// scalar replay of the same plane on a clone of the profiler, and
+    /// the touched heat entries are compared bitwise.
     #[inline]
     pub fn on_access_batch(&mut self, batch: &AccessBatch) {
         #[cfg(not(feature = "oracle"))]
@@ -113,7 +94,6 @@ impl AnyProfiler {
             AnyProfiler::Hybrid(p) => lockstep_batch(p, batch),
             AnyProfiler::Chrono(p) => lockstep_batch(p, batch),
             AnyProfiler::Telescope(p) => lockstep_batch(p, batch),
-            AnyProfiler::Custom(p) => batch.replay_scalar(&mut **p),
         }
     }
 
@@ -122,41 +102,22 @@ impl AnyProfiler {
         dispatch!(self, p => p.epoch(space))
     }
 
-    /// Latency this mechanism adds to every (non-faulting) access.
-    pub fn sampling_overhead(&self) -> Nanos {
-        dispatch_ref!(self, p => p.sampling_overhead())
-    }
-
     /// The accumulated heat map.
     #[inline]
     pub fn heat(&self) -> &HeatMap {
         dispatch_ref!(self, p => p.heat())
     }
 
-    /// Mutable access to the heat map (policies forget migrated pages).
+    /// Mutable access to the heat map (the runtime pre-sizes it with
+    /// [`HeatMap::reserve`]).
     #[inline]
     pub fn heat_mut(&mut self) -> &mut HeatMap {
         dispatch!(self, p => p.heat_mut())
     }
 
-    /// The profiler as a trait object — the policy-boundary view.
-    pub fn as_dyn(&self) -> &dyn Profiler {
-        self
-    }
-
-    /// Mutable trait-object view for the policy boundary.
-    pub fn as_dyn_mut(&mut self) -> &mut dyn Profiler {
-        self
-    }
-
     /// Serialize this profiler for a checkpoint: `{kind, state}` with
     /// the concrete variant's full internal state.
-    ///
-    /// Fails (rather than silently dropping state) for
-    /// [`AnyProfiler::Custom`]: an out-of-tree profiler has no known
-    /// serialization, and a checkpoint that quietly forgot profiler
-    /// state would break the restore-replay identity contract.
-    pub fn checkpoint_state(&self) -> Result<vulcan_json::Value, String> {
+    pub fn checkpoint_state(&self) -> vulcan_json::Value {
         use vulcan_json::{snap, Snapshot, Value};
         let (kind, state) = match self {
             AnyProfiler::Pebs(p) => ("pebs", p.snapshot()),
@@ -165,14 +126,11 @@ impl AnyProfiler {
             AnyProfiler::Hybrid(p) => ("hybrid", p.snapshot()),
             AnyProfiler::Chrono(p) => ("chrono", p.snapshot()),
             AnyProfiler::Telescope(p) => ("telescope", p.snapshot()),
-            AnyProfiler::Custom(_) => {
-                return Err("custom (out-of-tree) profilers are not checkpointable".to_string())
-            }
         };
-        Ok(snap::obj(vec![
+        snap::obj(vec![
             ("kind", Value::Str(kind.to_string())),
             ("state", state),
-        ]))
+        ])
     }
 
     /// Rebuild a profiler from [`checkpoint_state`](Self::checkpoint_state)
@@ -191,38 +149,6 @@ impl AnyProfiler {
             "telescope" => AnyProfiler::Telescope(TelescopeProfiler::restore(state)?),
             other => return Err(format!("unknown profiler kind \"{other}\"")),
         })
-    }
-}
-
-/// `AnyProfiler` is itself a [`Profiler`], so the policy boundary keeps
-/// its `dyn Profiler` surface.
-impl Profiler for AnyProfiler {
-    fn on_access(&mut self, vpn: Vpn, is_write: bool) {
-        AnyProfiler::on_access(self, vpn, is_write)
-    }
-
-    fn on_hint_fault(&mut self, vpn: Vpn, is_write: bool) {
-        AnyProfiler::on_hint_fault(self, vpn, is_write)
-    }
-
-    fn on_access_batch(&mut self, batch: &AccessBatch) {
-        AnyProfiler::on_access_batch(self, batch)
-    }
-
-    fn epoch(&mut self, space: &mut AddressSpace) -> EpochOutcome {
-        AnyProfiler::epoch(self, space)
-    }
-
-    fn sampling_overhead(&self) -> Nanos {
-        AnyProfiler::sampling_overhead(self)
-    }
-
-    fn heat(&self) -> &HeatMap {
-        AnyProfiler::heat(self)
-    }
-
-    fn heat_mut(&mut self) -> &mut HeatMap {
-        AnyProfiler::heat_mut(self)
     }
 }
 
@@ -284,61 +210,9 @@ impl_from!(Hybrid, HybridProfiler);
 impl_from!(Chrono, ChronoProfiler);
 impl_from!(Telescope, TelescopeProfiler);
 
-impl From<Box<dyn Profiler>> for AnyProfiler {
-    fn from(p: Box<dyn Profiler>) -> AnyProfiler {
-        AnyProfiler::Custom(p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vulcan_sim::{FrameId, TierKind};
-    use vulcan_vm::LocalTid;
-
-    fn space_with_pages(n: u64) -> AddressSpace {
-        let mut s = AddressSpace::new(false);
-        for v in 0..n {
-            s.map(
-                Vpn(v),
-                FrameId {
-                    tier: TierKind::Slow,
-                    index: v as u32,
-                },
-                LocalTid(0),
-            );
-        }
-        s
-    }
-
-    /// The enum fast path and the boxed dyn path must be observationally
-    /// identical for the same underlying profiler and input stream.
-    #[test]
-    fn enum_and_dyn_dispatch_agree() {
-        let mut fast: AnyProfiler = HybridProfiler::vulcan_default().into();
-        let boxed: Box<dyn Profiler> = Box::new(HybridProfiler::vulcan_default());
-        let mut slow: AnyProfiler = boxed.into();
-        assert!(matches!(fast, AnyProfiler::Hybrid(_)));
-        assert!(matches!(slow, AnyProfiler::Custom(_)));
-
-        let mut s1 = space_with_pages(64);
-        let mut s2 = space_with_pages(64);
-        for i in 0..1_000u64 {
-            let vpn = Vpn(i % 64);
-            let w = i % 5 == 0;
-            fast.on_access(vpn, w);
-            slow.on_access(vpn, w);
-        }
-        fast.on_hint_fault(Vpn(3), true);
-        slow.on_hint_fault(Vpn(3), true);
-        let o1 = fast.epoch(&mut s1);
-        let o2 = slow.epoch(&mut s2);
-        assert_eq!(o1.cycles, o2.cycles);
-        assert_eq!(o1.poisoned, o2.poisoned);
-        for v in 0..64u64 {
-            assert_eq!(fast.heat().get(Vpn(v)), slow.heat().get(Vpn(v)));
-        }
-    }
 
     #[test]
     fn boxed_concrete_profilers_unbox_to_fast_variants() {
@@ -368,28 +242,19 @@ mod tests {
             for i in 0..100u64 {
                 p.on_access(Vpn(i % 16), i % 4 == 0);
             }
-            let state = match p.checkpoint_state() {
-                Ok(s) => s,
-                Err(e) => panic!("concrete variants serialize: {e}"),
-            };
+            let state = p.checkpoint_state();
             let back = match AnyProfiler::from_checkpoint(&state) {
                 Ok(b) => b,
                 Err(e) => panic!("restore: {e}"),
             };
-            assert_eq!(
-                back.checkpoint_state().ok(),
-                Some(state),
-                "idempotent roundtrip"
-            );
+            assert_eq!(back.checkpoint_state(), state, "idempotent roundtrip");
         }
     }
 
+    /// A checkpoint naming a profiler kind outside the closed set fails
+    /// with a typed error.
     #[test]
     fn custom_profiler_checkpoint_is_a_typed_error() {
-        let boxed: Box<dyn Profiler> = Box::new(PebsProfiler::new(2));
-        let p: AnyProfiler = boxed.into();
-        let err = p.checkpoint_state().unwrap_err();
-        assert!(err.contains("not checkpointable"), "{err}");
         let bogus = AnyProfiler::from_checkpoint(&vulcan_json::snap::obj(vec![
             ("kind", vulcan_json::Value::Str("martian".into())),
             ("state", vulcan_json::Value::Null),
@@ -398,16 +263,5 @@ mod tests {
             Err(e) => assert!(e.contains("unknown profiler kind"), "{e}"),
             Ok(_) => panic!("bogus kind must not restore"),
         }
-    }
-
-    #[test]
-    fn trait_object_view_works() {
-        let mut p: AnyProfiler = PebsProfiler::new(1).into();
-        p.on_access(Vpn(7), false);
-        let dyn_view: &dyn Profiler = p.as_dyn();
-        assert_eq!(dyn_view.heat().get(Vpn(7)).heat, 1.0);
-        let dyn_mut: &mut dyn Profiler = p.as_dyn_mut();
-        dyn_mut.heat_mut().forget(Vpn(7));
-        assert!(p.heat().is_empty());
     }
 }

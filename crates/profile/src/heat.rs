@@ -22,40 +22,11 @@
 //! iteration proportional to the number of tracked pages, not table
 //! capacity, and gives the map a deterministic iteration order.
 //!
-//! # Sharding and the lock-free read side
-//!
-//! The dense table is split into [`N_SHARDS`] power-of-two shards keyed
-//! by the VPN's low bits (`shard = vpn & (N_SHARDS - 1)`, `slot = vpn >>
-//! SHARD_BITS`), so consecutive VPNs stripe across shards and each shard
-//! grows independently. Every dense slot is a bundle of atomics guarded
-//! by a per-slot seqlock:
-//!
-//! - **Who writes:** exactly one writer — whoever holds `&mut HeatMap`.
-//!   `record`/`decay_epoch`/`forget` wrap each slot update in a seqlock
-//!   section (`seq` goes odd, fields stored, `seq` goes even). There is
-//!   never writer/writer contention, so writes are plain atomic stores,
-//!   no RMWs, no locks.
-//! - **Who reads:** the same-thread policy/profiler side reads through
-//!   `&HeatMap` with relaxed loads (it *is* the writer thread, so no
-//!   protocol is needed and reads stay exact). Concurrent observers take
-//!   a [`HeatReader`] — an `Arc` snapshot of the shard arrays plus the
-//!   shared epoch counter — and read through the seqlock: retry while
-//!   `seq` is odd or changed across the read, so a snapshot never tears
-//!   and never blocks the writer.
-//! - **Epoch rules:** a slot is live iff its `stamp` equals the map
-//!   epoch (an `Arc<AtomicU64>` both sides share). Readers that race a
-//!   `decay_epoch` may transiently see a survivor as dead (stamp not yet
-//!   re-bumped) — staleness, never a torn value. A shard that grows
-//!   swaps in a fresh slot array; existing `HeatReader`s keep the old
-//!   one and read pages recorded after their snapshot as cold.
-//!
-//! Spill VPNs (at or above [`DENSE_LIMIT`]) stay on a writer-private
-//! non-atomic table: they are sparse outliers that no lock-free reader
-//! needs, and [`HeatReader::get`] reports them as cold.
+//! Each map has one owner, its workload's profiler, which writes it
+//! through `&mut`; the sharded sweep moves whole workloads between
+//! threads, so no map is ever shared and the table needs no atomics.
 
 use std::fmt;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::Arc;
 use vulcan_vm::Vpn;
 
 /// VPNs below this go in the dense direct-indexed table (2 Mi pages =
@@ -66,12 +37,6 @@ const DENSE_LIMIT: u64 = 1 << 21;
 /// Pages whose decayed heat drops below this are pruned, matching the
 /// prior `HashMap::retain` semantics.
 const PRUNE_THRESHOLD: f64 = 1e-3;
-
-/// log2 of the dense shard count.
-const SHARD_BITS: u32 = 3;
-
-/// Power-of-two dense shard count; a VPN's shard is its low bits.
-const N_SHARDS: usize = 1 << SHARD_BITS;
 
 /// Accumulated statistics for one page.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -102,7 +67,7 @@ impl PageStats {
     }
 }
 
-/// One spill-table entry: page statistics plus the liveness epoch stamp.
+/// One table entry: page statistics plus the liveness epoch stamp.
 /// The slot is live iff `stamp` equals the map's current epoch.
 #[derive(Clone, Copy, Debug, Default)]
 struct Slot {
@@ -110,82 +75,10 @@ struct Slot {
     stamp: u64,
 }
 
-/// One dense-table entry: the same statistics and epoch stamp as
-/// [`Slot`], but held in atomics behind a per-slot seqlock so a
-/// [`HeatReader`] on another thread can read it lock-free while the
-/// single writer updates it.
-#[derive(Debug, Default)]
-struct AtomicSlot {
-    /// Seqlock word: odd while the writer is mid-update; bumped to the
-    /// next even value when the update completes.
-    seq: AtomicU64,
-    /// Liveness epoch stamp (0 is never a current epoch).
-    stamp: AtomicU64,
-    /// `f64` bits of [`PageStats::heat`].
-    heat: AtomicU64,
-    /// `f64` bits of [`PageStats::reads`].
-    reads: AtomicU64,
-    /// `f64` bits of [`PageStats::writes`].
-    writes: AtomicU64,
-}
-
-impl AtomicSlot {
-    /// Plain loads — exact on the writer thread, and safe inside a
-    /// validated seqlock read section.
-    #[inline]
-    fn stats_relaxed(&self) -> PageStats {
-        PageStats {
-            heat: f64::from_bits(self.heat.load(Ordering::Relaxed)),
-            reads: f64::from_bits(self.reads.load(Ordering::Relaxed)),
-            writes: f64::from_bits(self.writes.load(Ordering::Relaxed)),
-        }
-    }
-
-    /// Single-writer seqlock update: take `seq` odd, store the fields,
-    /// release it even. Concurrent [`HeatReader`]s that overlap this
-    /// window retry; the writer never waits.
-    #[inline]
-    fn write(&self, stamp: u64, stats: PageStats) {
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s.wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-        self.stamp.store(stamp, Ordering::Relaxed);
-        self.heat.store(stats.heat.to_bits(), Ordering::Relaxed);
-        self.reads.store(stats.reads.to_bits(), Ordering::Relaxed);
-        self.writes.store(stats.writes.to_bits(), Ordering::Relaxed);
-        self.seq.store(s.wrapping_add(2), Ordering::Release);
-    }
-
-    /// A value-copy with a fresh (even) seqlock word.
-    fn copy_of(&self) -> AtomicSlot {
-        AtomicSlot {
-            seq: AtomicU64::new(0),
-            stamp: AtomicU64::new(self.stamp.load(Ordering::Relaxed)),
-            heat: AtomicU64::new(self.heat.load(Ordering::Relaxed)),
-            reads: AtomicU64::new(self.reads.load(Ordering::Relaxed)),
-            writes: AtomicU64::new(self.writes.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// One dense shard: a shared, immutable-length slot array. Growth swaps
-/// in a bigger array; readers holding the old `Arc` keep a consistent
-/// (if stale) view.
-type DenseShard = Arc<[AtomicSlot]>;
-
-/// `(shard, slot index)` of a dense VPN.
-#[inline]
-fn dense_pos(key: u64) -> (usize, usize) {
-    (
-        (key as usize) & (N_SHARDS - 1),
-        (key >> SHARD_BITS) as usize,
-    )
-}
-
 /// Open-addressed (linear probe) spill table for VPNs above the dense
-/// range. Entries are never physically removed — death and `forget` are
-/// epoch-stamp transitions — so probing needs no tombstones; the table
-/// grows at 70% occupancy of *distinct keys ever inserted*.
+/// range. Entries are never physically removed — death is an epoch-stamp
+/// transition — so probing needs no tombstones; the table grows at 70%
+/// occupancy of *distinct keys ever inserted*.
 #[derive(Clone, Debug)]
 struct Spill {
     keys: Vec<u64>,
@@ -305,9 +198,14 @@ impl Spill {
     }
 }
 
-/// Decayed per-page heat map over a sharded, epoch-versioned flat table
-/// whose dense slots are lock-free-readable (see the module docs for the
-/// memory model).
+/// Grow the dense table to cover index `i`, by powers of two and to at
+/// least 1024 slots, so a workload's first touches regrow it rarely.
+#[cold]
+fn grow_dense(dense: &mut Vec<Slot>, i: usize) {
+    dense.resize((i + 1).next_power_of_two().max(1024), Slot::default());
+}
+
+/// Decayed per-page heat map over a dense epoch-versioned flat table.
 ///
 /// ```
 /// use vulcan_profile::HeatMap;
@@ -316,20 +214,22 @@ impl Spill {
 /// let mut heat = HeatMap::new(0.7);
 /// heat.record(Vpn(1), false, 10.0);
 /// heat.record(Vpn(2), true, 2.0);
-/// assert_eq!(heat.hot_set(1), vec![Vpn(1)]);
+/// assert_eq!(heat.get(Vpn(2)).write_ratio(), 1.0);
 /// heat.decay_epoch();
 /// assert_eq!(heat.get(Vpn(1)).heat, 7.0); // decayed by 0.7
 /// ```
+#[derive(Clone)]
 pub struct HeatMap {
     /// Multiplier applied at each epoch (0 = pure frequency of last epoch,
     /// 1 = pure cumulative frequency).
     decay: f64,
-    /// Current liveness epoch; bumped by [`HeatMap::decay_epoch`].
-    /// Shared with [`HeatReader`]s so their stamp checks track decay.
-    epoch: Arc<AtomicU64>,
-    /// Dense slot shards, striped by VPN low bits (grown on demand).
-    shards: Box<[DenseShard]>,
-    /// Spill table for VPNs at or above [`DENSE_LIMIT`] (writer-private).
+    /// Current liveness epoch; bumped by [`HeatMap::decay_epoch`]. Never
+    /// 0, the stamp of a slot no page ever lived in.
+    epoch: u64,
+    /// Slots indexed directly by VPN below [`DENSE_LIMIT`] (grown on
+    /// demand).
+    dense: Vec<Slot>,
+    /// Spill table for VPNs at or above [`DENSE_LIMIT`].
     spill: Spill,
     /// Keys of currently-live pages in first-record order.
     live: Vec<u64>,
@@ -346,11 +246,8 @@ impl HeatMap {
         assert!((0.0..=1.0).contains(&decay), "decay must be in [0,1]");
         HeatMap {
             decay,
-            epoch: Arc::new(AtomicU64::new(1)),
-            shards: (0..N_SHARDS)
-                .map(|_| Arc::from(Vec::new()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            epoch: 1,
+            dense: Vec::new(),
             spill: Spill::new(),
             live: Vec::new(),
             #[cfg(feature = "oracle")]
@@ -358,72 +255,46 @@ impl HeatMap {
         }
     }
 
-    #[inline]
-    fn epoch_now(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// Swap shard `sh`'s array for one that covers slot `idx`, copying
-    /// existing values. Readers holding the old array keep a consistent
-    /// pre-growth view.
-    fn grow_shard(&mut self, sh: usize, idx: usize) {
-        let cap = (idx + 1).next_power_of_two().max(128);
-        let old = &self.shards[sh];
-        let mut slots: Vec<AtomicSlot> = Vec::with_capacity(cap);
-        slots.extend(old.iter().map(AtomicSlot::copy_of));
-        slots.resize_with(cap, AtomicSlot::default);
-        self.shards[sh] = Arc::from(slots);
-    }
-
     /// Pre-size the dense table for a footprint of `pages` pages, so the
     /// first touches of a workload don't pay incremental regrowth.
     pub fn reserve(&mut self, pages: u64) {
-        let per_shard = (pages.min(DENSE_LIMIT) as usize).div_ceil(N_SHARDS);
-        for sh in 0..N_SHARDS {
-            if per_shard > self.shards[sh].len() {
-                self.grow_shard(sh, per_shard - 1);
-            }
+        let want = pages.min(DENSE_LIMIT) as usize;
+        if want > self.dense.len() {
+            self.dense.resize(want, Slot::default());
         }
     }
 
     /// Record `weight` sampled accesses to `vpn`.
     #[inline]
     pub fn record(&mut self, vpn: Vpn, is_write: bool, weight: f64) {
-        let epoch = self.epoch_now();
-        if vpn.0 < DENSE_LIMIT {
-            let (sh, idx) = dense_pos(vpn.0);
-            if idx >= self.shards[sh].len() {
-                self.grow_shard(sh, idx);
+        let HeatMap {
+            epoch,
+            dense,
+            spill,
+            live,
+            ..
+        } = self;
+        let slot = if vpn.0 < DENSE_LIMIT {
+            let i = vpn.0 as usize;
+            if i >= dense.len() {
+                grow_dense(dense, i);
             }
-            let slot = &self.shards[sh][idx];
-            let mut stats = if slot.stamp.load(Ordering::Relaxed) == epoch {
-                slot.stats_relaxed()
-            } else {
-                // Dead or never-seen slot: resurrect from zero, exactly
-                // like a fresh map entry.
-                self.live.push(vpn.0);
-                PageStats::default()
-            };
-            stats.heat += weight;
-            if is_write {
-                stats.writes += weight;
-            } else {
-                stats.reads += weight;
-            }
-            slot.write(epoch, stats);
+            &mut dense[i]
         } else {
-            let slot = self.spill.slot_mut(vpn.0);
-            if slot.stamp != epoch {
-                slot.stats = PageStats::default();
-                slot.stamp = epoch;
-                self.live.push(vpn.0);
-            }
-            slot.stats.heat += weight;
-            if is_write {
-                slot.stats.writes += weight;
-            } else {
-                slot.stats.reads += weight;
-            }
+            spill.slot_mut(vpn.0)
+        };
+        if slot.stamp != *epoch {
+            // Dead or never-seen slot: resurrect from zero, exactly like
+            // a fresh map entry.
+            slot.stats = PageStats::default();
+            slot.stamp = *epoch;
+            live.push(vpn.0);
+        }
+        slot.stats.heat += weight;
+        if is_write {
+            slot.stats.writes += weight;
+        } else {
+            slot.stats.reads += weight;
         }
         #[cfg(feature = "oracle")]
         {
@@ -437,51 +308,39 @@ impl HeatMap {
     /// Bumping the epoch retires every slot at once; survivors are
     /// re-stamped during the sweep, so pruned pages cost no writes.
     pub fn decay_epoch(&mut self) {
-        let epoch = self.epoch_now() + 1;
-        self.epoch.store(epoch, Ordering::Relaxed);
+        self.epoch += 1;
         let d = self.decay;
         let HeatMap {
-            shards,
+            epoch,
+            dense,
             spill,
             live,
             ..
         } = self;
         let mut live_spill = 0usize;
         live.retain(|&key| {
-            if key < DENSE_LIMIT {
-                let (sh, idx) = dense_pos(key);
-                let slot = &shards[sh][idx];
-                let mut stats = slot.stats_relaxed();
-                stats.heat *= d;
-                stats.reads *= d;
-                stats.writes *= d;
-                if stats.heat >= PRUNE_THRESHOLD {
-                    slot.write(epoch, stats);
-                    true
-                } else {
-                    false
-                }
+            let slot = if key < DENSE_LIMIT {
+                &mut dense[key as usize]
             } else {
                 let i = spill.find(key).expect("live key is in the spill table");
-                let slot = &mut spill.slots[i];
-                slot.stats.heat *= d;
-                slot.stats.reads *= d;
-                slot.stats.writes *= d;
-                if slot.stats.heat >= PRUNE_THRESHOLD {
-                    slot.stamp = epoch;
-                    live_spill += 1;
-                    true
-                } else {
-                    false
-                }
+                &mut spill.slots[i]
+            };
+            slot.stats.heat *= d;
+            slot.stats.reads *= d;
+            slot.stats.writes *= d;
+            let survives = slot.stats.heat >= PRUNE_THRESHOLD;
+            if survives {
+                slot.stamp = *epoch;
+                live_spill += usize::from(key >= DENSE_LIMIT);
             }
+            survives
         });
         // Reclaim spill capacity once dead keys dominate: `used` counts
         // distinct keys ever inserted, so sparse-VPN churn would grow
         // the table forever. The 2× hysteresis (compaction resets
         // `used` to the live count) keeps this amortized O(1).
         if spill.used > (2 * live_spill).max(64) {
-            spill.compact(epoch);
+            spill.compact(*epoch);
         }
         #[cfg(feature = "oracle")]
         {
@@ -493,55 +352,14 @@ impl HeatMap {
     /// Statistics for one page (zero if never sampled).
     #[inline]
     pub fn get(&self, vpn: Vpn) -> PageStats {
-        let epoch = self.epoch_now();
-        if vpn.0 < DENSE_LIMIT {
-            let (sh, idx) = dense_pos(vpn.0);
-            match self.shards[sh].get(idx) {
-                Some(s) if s.stamp.load(Ordering::Relaxed) == epoch => s.stats_relaxed(),
-                _ => PageStats::default(),
-            }
+        let slot = if vpn.0 < DENSE_LIMIT {
+            self.dense.get(vpn.0 as usize)
         } else {
-            match self.spill.find(vpn.0) {
-                Some(i) if self.spill.slots[i].stamp == epoch => self.spill.slots[i].stats,
-                _ => PageStats::default(),
-            }
-        }
-    }
-
-    /// Remove a page's statistics (e.g. after unmap).
-    pub fn forget(&mut self, vpn: Vpn) {
-        let epoch = self.epoch_now();
-        if vpn.0 < DENSE_LIMIT {
-            let (sh, idx) = dense_pos(vpn.0);
-            match self.shards[sh].get(idx) {
-                Some(s) if s.stamp.load(Ordering::Relaxed) == epoch => {
-                    s.write(0, PageStats::default()) // 0 is never a current epoch
-                }
-                _ => return,
-            }
-        } else {
-            match self.spill.find(vpn.0) {
-                Some(i) if self.spill.slots[i].stamp == epoch => self.spill.slots[i].stamp = 0,
-                _ => return,
-            }
-        }
-        self.live.retain(|&k| k != vpn.0);
-        #[cfg(feature = "oracle")]
-        {
-            self.shadow.forget(vpn.0);
-            self.oracle_check_key(vpn.0);
-            vulcan_oracle::check(
-                vulcan_oracle::Structure::Heat,
-                self.live.len() == self.shadow.len(),
-                Some(vpn.0),
-                || {
-                    format!(
-                        "after forget: flat live count {} != reference {}",
-                        self.live.len(),
-                        self.shadow.len()
-                    )
-                },
-            );
+            self.spill.find(vpn.0).map(|i| &self.spill.slots[i])
+        };
+        match slot {
+            Some(s) if s.stamp == self.epoch => s.stats,
+            _ => PageStats::default(),
         }
     }
 
@@ -558,59 +376,6 @@ impl HeatMap {
     /// Iterate `(vpn, stats)` over live pages in first-record order.
     pub fn iter(&self) -> impl Iterator<Item = (Vpn, PageStats)> + '_ {
         self.live.iter().map(move |&k| (Vpn(k), self.get(Vpn(k))))
-    }
-
-    /// A lock-free read handle over the dense shards as they are now.
-    /// See [`HeatReader`] for the visibility contract.
-    pub fn reader(&self) -> HeatReader {
-        HeatReader {
-            epoch: Arc::clone(&self.epoch),
-            shards: self.shards.clone(),
-        }
-    }
-
-    /// The `n` extreme pages under `cmp` (a total order), best first:
-    /// select the prefix, then sort only that prefix. Identical output
-    /// to sorting everything and truncating, without the full sort.
-    fn top_by(
-        &self,
-        n: usize,
-        cmp: impl Fn(&(Vpn, f64), &(Vpn, f64)) -> std::cmp::Ordering,
-    ) -> Vec<(Vpn, f64)> {
-        let mut v: Vec<(Vpn, f64)> = self.iter().map(|(vpn, s)| (vpn, s.heat)).collect();
-        if n == 0 {
-            return Vec::new();
-        }
-        if n < v.len() {
-            v.select_nth_unstable_by(n - 1, &cmp);
-            v.truncate(n);
-        }
-        v.sort_by(cmp);
-        v
-    }
-
-    /// The `n` hottest pages, hottest first (ties by VPN for determinism).
-    pub fn hottest(&self, n: usize) -> Vec<(Vpn, f64)> {
-        let got = self.top_by(n, |a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("heat is never NaN")
-                .then(a.0 .0.cmp(&b.0 .0))
-        });
-        #[cfg(feature = "oracle")]
-        self.oracle_check_selection(&got, n, true);
-        got
-    }
-
-    /// The `n` coldest pages among those tracked, coldest first.
-    pub fn coldest(&self, n: usize) -> Vec<(Vpn, f64)> {
-        let got = self.top_by(n, |a, b| {
-            a.1.partial_cmp(&b.1)
-                .expect("heat is never NaN")
-                .then(a.0 .0.cmp(&b.0 .0))
-        });
-        #[cfg(feature = "oracle")]
-        self.oracle_check_selection(&got, n, false);
-        got
     }
 
     /// Oracle builds: diff one key's flat-table view against the shadow
@@ -655,39 +420,10 @@ impl HeatMap {
         }
     }
 
-    /// Oracle builds: the `select_nth_unstable_by` selection must equal
-    /// a full sort of the reference model.
-    #[cfg(feature = "oracle")]
-    fn oracle_check_selection(&self, got: &[(Vpn, f64)], n: usize, hottest: bool) {
-        let want = self.shadow.top_heat(n, hottest);
-        let ok = got.len() == want.len()
-            && got
-                .iter()
-                .zip(&want)
-                .all(|(g, w)| g.0 .0 == w.0 && g.1 == w.1);
-        vulcan_oracle::check(vulcan_oracle::Structure::Heat, ok, None, || {
-            format!("selection (n={n}, hottest={hottest}): flat {got:?} != reference {want:?}")
-        });
-    }
-
     /// Capacity of the spill table, in slots (diagnostics; bounded-growth
     /// tests assert churned-through sparse VPNs don't grow it forever).
     pub fn spill_capacity(&self) -> usize {
         self.spill.keys.len()
-    }
-
-    /// Total heat across all pages.
-    pub fn total_heat(&self) -> f64 {
-        self.iter().map(|(_, s)| s.heat).sum()
-    }
-
-    /// The hot set under a capacity budget: hottest pages whose count fits
-    /// `budget_pages` (Memtis-style capacity-based classification).
-    pub fn hot_set(&self, budget_pages: usize) -> Vec<Vpn> {
-        self.hottest(budget_pages)
-            .into_iter()
-            .map(|(v, _)| v)
-            .collect()
     }
 }
 
@@ -697,40 +433,56 @@ impl vulcan_json::Snapshot for HeatMap {
     /// bit-exact stat arrays. The spill table is serialized **verbatim**
     /// — keys (dead ones included), stamps, stats and the `used`
     /// counter — because compaction hysteresis depends on the history of
-    /// distinct keys ever inserted, not just the live set (ISSUE 10
-    /// satellite: spillover compaction hysteresis is hidden state).
-    /// Dense shard capacities are wall-clock-only and rebuilt on demand.
+    /// distinct keys ever inserted, not just the live set.
     fn snapshot(&self) -> vulcan_json::Value {
         use vulcan_json::snap;
-        let mut heat = Vec::with_capacity(self.live.len());
-        let mut reads = Vec::with_capacity(self.live.len());
-        let mut writes = Vec::with_capacity(self.live.len());
-        for &key in &self.live {
+        // Every field is bound by name, so a field added later without
+        // serialization fails to compile here.
+        let HeatMap {
+            decay,
+            epoch,
+            // Derived: restore rebuilds the dense slots from `live` and
+            // the stat arrays, and its capacity is host-side only.
+            dense: _,
+            spill: Spill { keys, slots, used },
+            live,
+            // Derived: restore rebuilds the reference from the live stats.
+            #[cfg(feature = "oracle")]
+                shadow: _,
+        } = self;
+        let mut heat = Vec::with_capacity(live.len());
+        let mut reads = Vec::with_capacity(live.len());
+        let mut writes = Vec::with_capacity(live.len());
+        for &key in live {
             let s = self.get(Vpn(key));
             heat.push(s.heat);
             reads.push(s.reads);
             writes.push(s.writes);
         }
-        let spill_stamps: Vec<u64> = self.spill.slots.iter().map(|s| s.stamp).collect();
-        let spill_heat: Vec<f64> = self.spill.slots.iter().map(|s| s.stats.heat).collect();
-        let spill_reads: Vec<f64> = self.spill.slots.iter().map(|s| s.stats.reads).collect();
-        let spill_writes: Vec<f64> = self.spill.slots.iter().map(|s| s.stats.writes).collect();
+        let spill_stamps: Vec<u64> = slots.iter().map(|s| s.stamp).collect();
+        let spill_heat: Vec<f64> = slots.iter().map(|s| s.stats.heat).collect();
+        let spill_reads: Vec<f64> = slots.iter().map(|s| s.stats.reads).collect();
+        let spill_writes: Vec<f64> = slots.iter().map(|s| s.stats.writes).collect();
         snap::obj(vec![
-            ("decay", snap::f64_value(self.decay)),
-            ("epoch", snap::u64_value(self.epoch_now())),
-            ("live", snap::u64_array(&self.live)),
+            ("decay", snap::f64_value(*decay)),
+            ("epoch", snap::u64_value(*epoch)),
+            ("live", snap::u64_array(live)),
             ("heat", snap::f64_array(&heat)),
             ("reads", snap::f64_array(&reads)),
             ("writes", snap::f64_array(&writes)),
-            ("spill_keys", snap::u64_array(&self.spill.keys)),
+            ("spill_keys", snap::u64_array(keys)),
             ("spill_stamps", snap::u64_array(&spill_stamps)),
             ("spill_heat", snap::f64_array(&spill_heat)),
             ("spill_reads", snap::f64_array(&spill_reads)),
             ("spill_writes", snap::f64_array(&spill_writes)),
-            ("spill_used", snap::u64_value(self.spill.used as u64)),
+            ("spill_used", snap::u64_value(*used as u64)),
         ])
     }
 
+    /// Fails closed on any state the map could not have reached: every
+    /// check below guards an invariant `record`, `decay_epoch` and the
+    /// spill probes rely on, so a corrupt checkpoint is a typed error
+    /// rather than a hang, a panic or silently wrong heat.
     fn restore(v: &vulcan_json::Value) -> Result<Self, String> {
         use vulcan_json::snap;
         let decay = snap::field_f64(v, "decay")?;
@@ -738,6 +490,9 @@ impl vulcan_json::Snapshot for HeatMap {
             return Err(format!("decay {decay} out of [0,1]"));
         }
         let epoch = snap::field_u64(v, "epoch")?;
+        if epoch == 0 {
+            return Err("heat-map epoch 0 would make never-recorded slots live".into());
+        }
         let live = snap::array_u64(snap::field(v, "live")?)?;
         let heat = snap::array_f64(snap::field(v, "heat")?)?;
         let reads = snap::array_f64(snap::field(v, "reads")?)?;
@@ -764,7 +519,28 @@ impl vulcan_json::Snapshot for HeatMap {
         {
             return Err("spill arrays disagree with spill capacity".into());
         }
-        let spill = Spill {
+        if let Some(stamp) = spill_stamps.iter().find(|&&s| s > epoch) {
+            return Err(format!("spill stamp {stamp} is past epoch {epoch}"));
+        }
+        // Every probe must meet an empty slot: `used` counts the occupied
+        // keys and stays within the load bound `slot_mut` grows at.
+        let used = usize::try_from(snap::field_u64(v, "spill_used")?)
+            .map_err(|_| "spill_used out of range".to_string())?;
+        let occupied = spill_keys.iter().filter(|&&k| k != Spill::EMPTY).count();
+        if used != occupied {
+            return Err(format!(
+                "spill_used {used} disagrees with {occupied} occupied spill keys"
+            ));
+        }
+        if used * 10 > spill_keys.len() * 7 {
+            return Err(format!(
+                "{used} spill keys in {} slots exceed the 70% load bound",
+                spill_keys.len()
+            ));
+        }
+        let mut map = HeatMap::new(decay);
+        map.epoch = epoch;
+        map.spill = Spill {
             slots: spill_stamps
                 .iter()
                 .zip(spill_heat.iter().zip(spill_reads.iter().zip(&spill_writes)))
@@ -778,32 +554,52 @@ impl vulcan_json::Snapshot for HeatMap {
                 })
                 .collect(),
             keys: spill_keys,
-            used: usize::try_from(snap::field_u64(v, "spill_used")?)
-                .map_err(|_| "spill_used out of range".to_string())?,
+            used,
         };
-        let mut map = HeatMap::new(decay);
-        map.epoch.store(epoch, Ordering::Relaxed);
-        map.spill = spill;
+        let mut live_spill = 0usize;
         for (i, &key) in live.iter().enumerate() {
             let stats = PageStats {
                 heat: heat[i],
                 reads: reads[i],
                 writes: writes[i],
             };
+            if ![stats.heat, stats.reads, stats.writes]
+                .iter()
+                .all(|x| x.is_finite() && *x >= 0.0)
+            {
+                return Err(format!(
+                    "live key {key} has {stats:?}, not non-negative finite"
+                ));
+            }
             if key < DENSE_LIMIT {
-                let (sh, idx) = dense_pos(key);
-                if idx >= map.shards[sh].len() {
-                    map.grow_shard(sh, idx);
+                let idx = key as usize;
+                if idx >= map.dense.len() {
+                    grow_dense(&mut map.dense, idx);
                 }
-                map.shards[sh][idx].write(epoch, stats);
+                // The dense table starts with every stamp 0, and epoch
+                // is not 0: a live stamp means the key came before.
+                if map.dense[idx].stamp == epoch {
+                    return Err(format!("live key {key} is listed twice"));
+                }
+                map.dense[idx] = Slot {
+                    stats,
+                    stamp: epoch,
+                };
             } else {
-                let j = map
+                let slot = map
                     .spill
                     .find(key)
+                    .map(|j| map.spill.slots[j])
                     .ok_or_else(|| format!("live spill key {key} missing from spill table"))?;
-                if map.spill.slots[j].stamp != epoch {
+                if slot.stamp != epoch {
                     return Err(format!("live spill key {key} has a dead stamp"));
                 }
+                if slot.stats != stats {
+                    return Err(format!(
+                        "live spill key {key} disagrees with its spill slot"
+                    ));
+                }
+                live_spill += 1;
             }
             #[cfg(feature = "oracle")]
             map.shadow.set_exact(
@@ -815,29 +611,23 @@ impl vulcan_json::Snapshot for HeatMap {
                 },
             );
         }
+        // A live-stamped spill slot outside `live` would read as live
+        // yet never decay; a spill key listed twice in `live` shows here
+        // as one more live key than stamped slots.
+        let stamped = map
+            .spill
+            .keys
+            .iter()
+            .zip(&map.spill.slots)
+            .filter(|&(&k, s)| k != Spill::EMPTY && s.stamp == epoch)
+            .count();
+        if stamped != live_spill {
+            return Err(format!(
+                "spill table stamps {stamped} keys live, but live lists {live_spill}"
+            ));
+        }
         map.live = live;
         Ok(map)
-    }
-}
-
-impl Clone for HeatMap {
-    /// Deep copy: fresh shard arrays and a fresh (unshared) epoch
-    /// counter, so the clone's readers never observe the original.
-    fn clone(&self) -> HeatMap {
-        HeatMap {
-            decay: self.decay,
-            epoch: Arc::new(AtomicU64::new(self.epoch_now())),
-            shards: self
-                .shards
-                .iter()
-                .map(|sh| Arc::from(sh.iter().map(AtomicSlot::copy_of).collect::<Vec<_>>()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            spill: self.spill.clone(),
-            live: self.live.clone(),
-            #[cfg(feature = "oracle")]
-            shadow: self.shadow.clone(),
-        }
     }
 }
 
@@ -845,65 +635,9 @@ impl fmt::Debug for HeatMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HeatMap")
             .field("decay", &self.decay)
-            .field("epoch", &self.epoch_now())
+            .field("epoch", &self.epoch)
             .field("live_pages", &self.live.len())
             .field("spill_capacity", &self.spill.keys.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// A lock-free, concurrent read handle over a [`HeatMap`]'s dense
-/// shards.
-///
-/// Reads go through each slot's seqlock: they spin (never block, never
-/// take a lock) while an update is in flight and retry if one raced the
-/// read, so a returned [`PageStats`] is always an untorn snapshot some
-/// writer actually produced. The handle snapshots the shard arrays at
-/// creation: pages first recorded after a shard *grows* past the
-/// snapshot read as cold, as do spill-range VPNs (at or above the dense
-/// limit) — monitoring-grade visibility, while the writer-thread
-/// [`HeatMap::get`] stays exact.
-#[derive(Clone)]
-pub struct HeatReader {
-    epoch: Arc<AtomicU64>,
-    shards: Box<[DenseShard]>,
-}
-
-impl HeatReader {
-    /// Statistics for one page (zero if never sampled, dead, beyond the
-    /// snapshot, or in the spill range).
-    pub fn get(&self, vpn: Vpn) -> PageStats {
-        if vpn.0 >= DENSE_LIMIT {
-            return PageStats::default();
-        }
-        let (sh, idx) = dense_pos(vpn.0);
-        let Some(slot) = self.shards[sh].get(idx) else {
-            return PageStats::default();
-        };
-        loop {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let stamp = slot.stamp.load(Ordering::Relaxed);
-            let stats = slot.stats_relaxed();
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) == s1 {
-                return if stamp == self.epoch.load(Ordering::Relaxed) {
-                    stats
-                } else {
-                    PageStats::default()
-                };
-            }
-        }
-    }
-}
-
-impl fmt::Debug for HeatReader {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("HeatReader")
-            .field("epoch", &self.epoch.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -946,62 +680,12 @@ mod tests {
     }
 
     #[test]
-    fn hottest_orders_and_breaks_ties_deterministically() {
-        let mut h = HeatMap::new(1.0);
-        h.record(Vpn(3), false, 5.0);
-        h.record(Vpn(1), false, 9.0);
-        h.record(Vpn(2), false, 5.0);
-        let top = h.hottest(3);
-        assert_eq!(top[0].0, Vpn(1));
-        assert_eq!(top[1].0, Vpn(2), "tie broken by vpn");
-        assert_eq!(top[2].0, Vpn(3));
-        assert_eq!(h.hottest(1).len(), 1);
-    }
-
-    #[test]
-    fn coldest_is_reverse_of_hottest_extremes() {
-        let mut h = HeatMap::new(1.0);
-        for (v, w) in [(1u64, 1.0), (2, 10.0), (3, 5.0)] {
-            h.record(Vpn(v), false, w);
-        }
-        assert_eq!(h.coldest(1)[0].0, Vpn(1));
-        assert_eq!(h.hottest(1)[0].0, Vpn(2));
-    }
-
-    #[test]
-    fn hot_set_respects_budget() {
-        let mut h = HeatMap::new(1.0);
-        for v in 0..10u64 {
-            h.record(Vpn(v), false, v as f64 + 1.0);
-        }
-        let hot = h.hot_set(3);
-        assert_eq!(hot, vec![Vpn(9), Vpn(8), Vpn(7)]);
-    }
-
-    #[test]
     fn write_intensity_threshold() {
         let mut h = HeatMap::new(1.0);
         h.record(Vpn(1), true, 3.0);
         h.record(Vpn(1), false, 7.0);
         assert!(h.get(Vpn(1)).write_intensive(0.3));
         assert!(!h.get(Vpn(1)).write_intensive(0.5));
-    }
-
-    #[test]
-    fn forget_removes() {
-        let mut h = HeatMap::new(1.0);
-        h.record(Vpn(1), false, 1.0);
-        h.forget(Vpn(1));
-        assert!(h.is_empty());
-        assert_eq!(h.get(Vpn(1)), PageStats::default());
-    }
-
-    #[test]
-    fn total_heat_sums() {
-        let mut h = HeatMap::new(1.0);
-        h.record(Vpn(1), false, 2.0);
-        h.record(Vpn(2), true, 3.0);
-        assert!((h.total_heat() - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1017,9 +701,8 @@ mod tests {
         assert_eq!(h.get(farther).writes, 2.0);
         h.decay_epoch();
         assert_eq!(h.get(far).heat, 4.0);
-        h.forget(far);
-        assert_eq!(h.get(far), PageStats::default());
-        assert_eq!(h.len(), 2);
+        assert_eq!(h.get(farther).writes, 1.0);
+        assert_eq!(h.len(), 3);
     }
 
     #[test]
@@ -1059,7 +742,7 @@ mod tests {
     }
 
     /// The flat table must be observationally identical to the reference
-    /// `HashMap` semantics: same survivors, same values, same selections.
+    /// `HashMap` semantics: same survivors, same values.
     #[test]
     fn matches_reference_hashmap_semantics() {
         use std::collections::HashMap;
@@ -1101,24 +784,11 @@ mod tests {
                     s.heat >= 1e-3
                 });
             }
-            if round % 7 == 0 {
-                let victim = step() % 512;
-                flat.forget(Vpn(victim));
-                reference.remove(&victim);
-            }
         }
         assert_eq!(flat.len(), reference.len());
         for (&vpn, s) in &reference {
             assert_eq!(flat.get(Vpn(vpn)), *s, "vpn {vpn}");
         }
-        // Selection agrees with a full sort of the reference.
-        let mut all: Vec<(u64, f64)> = reference.iter().map(|(&v, s)| (v, s.heat)).collect();
-        all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        let want: Vec<(Vpn, f64)> = all.iter().take(10).map(|&(v, h)| (Vpn(v), h)).collect();
-        assert_eq!(flat.hottest(10), want);
-        all.reverse();
-        let want: Vec<(Vpn, f64)> = all.iter().take(10).map(|&(v, h)| (Vpn(v), h)).collect();
-        assert_eq!(flat.coldest(10), want);
     }
 
     #[test]
@@ -1218,88 +888,114 @@ mod tests {
         assert_eq!(c.get(Vpn(1)).heat, 2.5);
     }
 
+    /// `h`'s snapshot with each `(field, value)` pair replaced.
+    fn snapshot_with(h: &HeatMap, fields: &[(&str, vulcan_json::Value)]) -> vulcan_json::Value {
+        use vulcan_json::{Snapshot, Value};
+        let Value::Object(mut m) = h.snapshot() else {
+            unreachable!("a heat map snapshots to an object")
+        };
+        for (field, value) in fields {
+            m.insert(*field, value.clone());
+        }
+        Value::Object(m)
+    }
+
+    fn restore_err(v: &vulcan_json::Value) -> String {
+        use vulcan_json::Snapshot;
+        match HeatMap::restore(v) {
+            Ok(h) => panic!("corrupt heat map restored: {h:?}"),
+            Err(e) => e,
+        }
+    }
+
+    /// With every spill slot occupied, the probe for an absent key never
+    /// meets an empty slot and loops forever.
     #[test]
-    fn reader_matches_writer_view_single_threaded() {
+    fn restore_rejects_a_full_spill_table() {
+        use vulcan_json::snap;
+        let keys: Vec<u64> = (0..64).map(|i| DENSE_LIMIT + i).collect();
+        let spill = |used: u64| {
+            snapshot_with(
+                &HeatMap::new(0.5),
+                &[
+                    ("spill_keys", snap::u64_array(&keys)),
+                    ("spill_stamps", snap::u64_array(&[0; 64])),
+                    ("spill_heat", snap::f64_array(&[0.0; 64])),
+                    ("spill_reads", snap::f64_array(&[0.0; 64])),
+                    ("spill_writes", snap::f64_array(&[0.0; 64])),
+                    ("spill_used", snap::u64_value(used)),
+                ],
+            )
+        };
+        assert!(restore_err(&spill(0)).contains("disagrees with 64 occupied"));
+        assert!(restore_err(&spill(64)).contains("70% load bound"));
+    }
+
+    #[test]
+    fn restore_rejects_non_finite_or_negative_stats() {
+        use vulcan_json::snap;
         let mut h = HeatMap::new(0.5);
-        for v in 0..300u64 {
-            h.record(Vpn(v), v % 4 == 0, (v % 9) as f64 + 1.0);
+        h.record(Vpn(1), false, 8.0);
+        for (field, x) in [
+            ("heat", f64::INFINITY),
+            ("reads", -1.0),
+            ("writes", f64::NAN),
+        ] {
+            let err = restore_err(&snapshot_with(&h, &[(field, snap::f64_array(&[x]))]));
+            assert!(err.contains("not non-negative finite"), "{field}: {err}");
         }
-        h.decay_epoch();
-        for v in 0..50u64 {
-            h.record(Vpn(v), false, 2.0);
-        }
-        let r = h.reader();
-        for v in 0..300u64 {
-            assert_eq!(r.get(Vpn(v)), h.get(Vpn(v)), "vpn {v}");
-        }
-        assert_eq!(r.get(Vpn(9_999)), PageStats::default(), "beyond snapshot");
-        assert_eq!(
-            r.get(Vpn(DENSE_LIMIT + 1)),
-            PageStats::default(),
-            "spill range is cold through the reader"
+    }
+
+    /// A key listed twice would be decayed twice per epoch.
+    #[test]
+    fn restore_rejects_a_key_listed_twice() {
+        use vulcan_json::snap;
+        let mut h = HeatMap::new(0.5);
+        h.record(Vpn(1), false, 8.0);
+        let v = snapshot_with(
+            &h,
+            &[
+                ("live", snap::u64_array(&[1, 1])),
+                ("heat", snap::f64_array(&[8.0, 8.0])),
+                ("reads", snap::f64_array(&[8.0, 8.0])),
+                ("writes", snap::f64_array(&[0.0, 0.0])),
+            ],
         );
+        assert!(restore_err(&v).contains("listed twice"));
     }
 
+    /// At epoch 0 a never-recorded slot's stamp reads as live, so
+    /// `record` would never add the page to `live`.
     #[test]
-    fn reader_tracks_decay_through_shared_epoch() {
-        let mut h = HeatMap::new(0.0); // decay 0: everything dies
-        h.record(Vpn(7), false, 5.0);
-        let r = h.reader();
-        assert_eq!(r.get(Vpn(7)).heat, 5.0);
-        h.decay_epoch();
-        assert_eq!(r.get(Vpn(7)), PageStats::default(), "pruned page is cold");
-        h.record(Vpn(7), false, 1.0);
-        assert_eq!(r.get(Vpn(7)).heat, 1.0, "resurrection visible");
+    fn restore_rejects_epoch_zero() {
+        use vulcan_json::snap;
+        let v = snapshot_with(&HeatMap::new(0.5), &[("epoch", snap::u64_value(0))]);
+        assert!(restore_err(&v).contains("epoch 0"));
     }
 
-    /// Satellite contract: concurrent lock-free reads during a record
-    /// pass never tear and never deadlock. The writer only issues reads
-    /// (`is_write = false`), so every consistent snapshot satisfies
-    /// `heat == reads && writes == 0` bitwise — both fields go through
-    /// the identical `+= weight` / `*= decay` sequence. A torn read
-    /// (heat updated, reads not) breaks the equality.
+    /// Spill slots must agree with `live`: a live-stamped key outside it
+    /// would never decay, a stamp past the epoch would come alive at a
+    /// later one, and a live key's stats come from its slot.
     #[test]
-    fn concurrent_reads_never_tear_or_deadlock() {
-        use std::sync::atomic::AtomicBool;
-
+    fn restore_rejects_spill_slots_that_disagree_with_live() {
+        use vulcan_json::{snap, Snapshot};
         let mut h = HeatMap::new(0.5);
-        h.reserve(512);
-        let reader = h.reader();
-        let done = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                let r = reader.clone();
-                let done = &done;
-                scope.spawn(move || {
-                    let mut x: u64 = 0xDEAD_BEEF;
-                    let mut observed_hot = 0u64;
-                    while !done.load(Ordering::Relaxed) {
-                        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                        let s = r.get(Vpn((x >> 33) % 512));
-                        assert_eq!(s.heat.to_bits(), s.reads.to_bits(), "torn snapshot: {s:?}");
-                        assert_eq!(s.writes, 0.0, "torn snapshot: {s:?}");
-                        observed_hot += (s.heat > 0.0) as u64;
-                    }
-                    observed_hot
-                });
-            }
-            // The single writer hammers records and decays concurrently.
-            let mut x: u64 = 0x1234_5678;
-            for round in 0..200 {
-                for _ in 0..2_000 {
-                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                    h.record(Vpn((x >> 33) % 512), false, ((x % 7) + 1) as f64);
-                }
-                if round % 10 == 0 {
-                    h.decay_epoch();
-                }
-            }
-            done.store(true, Ordering::Relaxed);
-        });
-        // The writer-side view stays exact throughout.
-        for v in 0..512u64 {
-            let s = h.get(Vpn(v));
-            assert_eq!(s.heat.to_bits(), s.reads.to_bits());
-        }
+        h.record(Vpn(DENSE_LIMIT + 1), false, 8.0);
+        let mut stamps = snap::array_u64(h.snapshot().get("spill_stamps").unwrap()).unwrap();
+        let slot = stamps.iter().position(|&s| s == 1).unwrap();
+        let mut heat = vec![0.0; stamps.len()];
+        heat[slot] = 9.0;
+        let v = snapshot_with(&h, &[("spill_heat", snap::f64_array(&heat))]);
+        assert!(restore_err(&v).contains("disagrees with its spill slot"));
+        let mut fields = vec![
+            ("live", snap::u64_array(&[])),
+            ("heat", snap::f64_array(&[])),
+            ("reads", snap::f64_array(&[])),
+            ("writes", snap::f64_array(&[])),
+        ];
+        assert!(restore_err(&snapshot_with(&h, &fields)).contains("stamps 1 keys live"));
+        stamps[slot] = 2;
+        fields.push(("spill_stamps", snap::u64_array(&stamps)));
+        assert!(restore_err(&snapshot_with(&h, &fields)).contains("past epoch"));
     }
 }

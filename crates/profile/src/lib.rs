@@ -15,7 +15,7 @@ pub mod sampler;
 
 pub use advanced::{ChronoProfiler, TelescopeProfiler};
 pub use engine::AnyProfiler;
-pub use heat::{HeatMap, HeatReader, PageStats};
+pub use heat::{HeatMap, PageStats};
 pub use sampler::{
     AccessBatch, EpochOutcome, HintFaultProfiler, HybridProfiler, PebsProfiler, Profiler,
     PtScanProfiler, DEFAULT_DECAY,

@@ -7,7 +7,7 @@
 //! daemon decouples the choice per workload (§3.2).
 
 use crate::heat::HeatMap;
-use vulcan_sim::{Cycles, Nanos};
+use vulcan_sim::Cycles;
 use vulcan_vm::{AddressSpace, Vpn};
 
 /// Result of one profiling epoch.
@@ -96,15 +96,11 @@ pub trait Profiler: Send {
     /// daemon-side cycle cost and any pages poisoned this epoch.
     fn epoch(&mut self, space: &mut AddressSpace) -> EpochOutcome;
 
-    /// Latency this mechanism adds to every (non-faulting) access.
-    fn sampling_overhead(&self) -> Nanos {
-        Nanos::ZERO
-    }
-
     /// The accumulated heat map.
     fn heat(&self) -> &HeatMap;
 
-    /// Mutable access to the heat map (policies forget migrated pages).
+    /// Mutable access to the heat map (the runtime pre-sizes it with
+    /// [`HeatMap::reserve`]).
     fn heat_mut(&mut self) -> &mut HeatMap;
 }
 

@@ -5,11 +5,12 @@
 //! arithmetic step happens in the same order — to the plain `HashMap`
 //! model it replaced. These tests drive both through adversarial
 //! interleavings: keys straddling the dense/spill boundary, spill keys
-//! chosen to collide in the probe sequence, and churn/decay patterns
-//! that trigger spill compaction.
+//! chosen to collide in the probe sequence, churn/decay patterns that
+//! trigger spill compaction, and checkpoint round trips in between.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
+use vulcan_json::Snapshot;
 use vulcan_profile::HeatMap;
 use vulcan_vm::Vpn;
 
@@ -84,17 +85,17 @@ enum Op {
     },
     /// One epoch of decay.
     Decay,
-    /// Forget the key-universe index.
-    Forget { idx: usize },
+    /// Snapshot the map, restore it, and carry on with the copy.
+    Restore,
 }
 
 fn arb_op(universe: usize) -> impl Strategy<Value = Op> {
-    // Selector-weighted: 6/9 record, 2/9 decay, 1/9 forget.
+    // Selector-weighted: 6/9 record, 2/9 decay, 1/9 restore.
     (0usize..9, 0..universe, any::<bool>(), 0.01f64..8.0).prop_map(|(sel, idx, write, weight)| {
         match sel {
             0..=5 => Op::Record { idx, write, weight },
             6 | 7 => Op::Decay,
-            _ => Op::Forget { idx },
+            _ => Op::Restore,
         }
     })
 }
@@ -110,8 +111,10 @@ fn key_universe() -> Vec<u64> {
 
 proptest! {
     /// The flat table matches the `HashMap` reference bitwise after
-    /// every operation, for arbitrary record/decay/forget interleavings
-    /// over dense, spill and colliding keys.
+    /// every operation, for arbitrary record/decay/restore interleavings
+    /// over dense, spill and colliding keys. A restored map snapshots
+    /// to the very value it was restored from, so the spill table and
+    /// its compaction hysteresis survive the round trip.
     #[test]
     fn heat_map_matches_hashmap_reference(
         decay in 0.0f64..=1.0,
@@ -130,9 +133,10 @@ proptest! {
                     heat.decay_epoch();
                     reference.decay(decay);
                 }
-                Op::Forget { idx } => {
-                    heat.forget(Vpn(keys[idx]));
-                    reference.map.remove(&keys[idx]);
+                Op::Restore => {
+                    let snapshot = heat.snapshot();
+                    heat = HeatMap::restore(&snapshot).unwrap_or_else(|e| panic!("restore: {e}"));
+                    prop_assert_eq!(heat.snapshot(), snapshot);
                 }
             }
             prop_assert_eq!(heat.len(), reference.map.len());

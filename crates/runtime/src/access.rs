@@ -366,8 +366,12 @@ pub(crate) fn run_thread_quantum(
         // Loaded latencies only change at quantum boundaries; one load
         // per chunk also keeps the oracle's Latency lockstep check warm.
         // Indexed by `TierKind::index()`; tiers absent from the chain
-        // never receive hits, so their entries multiply zeros.
-        let lat: [Nanos; vulcan_sim::MAX_TIERS] = TierKind::ALL.map(|t| machine.access_latency(t));
+        // never receive hits, and the machine keeps no loaded latency
+        // for them, so their entries stay zero.
+        let mut lat = [Nanos::ZERO; vulcan_sim::MAX_TIERS];
+        for &t in machine.chain() {
+            lat[t.index()] = machine.access_latency(t);
+        }
         // Huge regions appear only through THP faults, so a chunk that
         // starts with none (and no THP) can skip the per-access
         // `in_huge` screen entirely.

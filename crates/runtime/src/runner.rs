@@ -346,9 +346,8 @@ impl<M, W, P> SimRunnerBuilder<M, W, P> {
     /// Vulcan's hybrid profiler for every workload).
     ///
     /// Accepts any return type convertible into [`AnyProfiler`]: a
-    /// concrete profiler, a `Box` of one (unboxed onto the enum fast
-    /// path), or a `Box<dyn Profiler>` (kept dyn-dispatched), so
-    /// pre-existing boxed factories work unchanged.
+    /// concrete profiler or a `Box` of one (unboxed onto the enum fast
+    /// path).
     pub fn profiler_factory<R: Into<AnyProfiler>>(
         mut self,
         mut f: impl FnMut(&WorkloadSpec) -> R + 'static,
@@ -481,7 +480,7 @@ impl SimRunner {
                 ]),
             ),
             ("config", self.cfg.snapshot()),
-            ("state", self.state.checkpoint_value()?),
+            ("state", self.state.checkpoint_value()),
             ("series", self.series.snapshot()),
             ("cfi", self.cfi.snapshot()),
             ("planes", self.planes.snapshot()),

@@ -220,8 +220,7 @@ pub struct WorkloadState {
     pub process: Process,
     /// Its profiler (the daemon decouples the choice per workload, §3.2).
     /// Held as [`AnyProfiler`] so the per-access path dispatches through
-    /// an inlined `match` instead of a virtual call; policies that need a
-    /// trait object use [`AnyProfiler::as_dyn_mut`].
+    /// an inlined `match` instead of a virtual call.
     pub profiler: AnyProfiler,
     /// Shadow frames of its promoted pages.
     pub shadows: ShadowRegistry,
@@ -272,17 +271,17 @@ impl WorkloadState {
     /// The generator's *config* travels inside the spec; only its mutable
     /// cursor state is captured separately — restore rebuilds the
     /// generator from the spec and replays that state into it.
-    pub fn checkpoint_value(&self) -> Result<vulcan_json::Value, String> {
+    pub fn checkpoint_value(&self) -> vulcan_json::Value {
         use vulcan_json::{snap, Snapshot as _, Value};
         let rngs: Vec<Value> = self
             .rngs
             .iter()
             .map(|r| snap::u64_array(&r.state()))
             .collect();
-        Ok(snap::obj(vec![
+        snap::obj(vec![
             ("spec", self.spec.snapshot()),
             ("process", self.process.snapshot()),
-            ("profiler", self.profiler.checkpoint_state()?),
+            ("profiler", self.profiler.checkpoint_state()),
             ("shadows", self.shadows.snapshot()),
             ("async_migrator", self.async_migrator.snapshot()),
             (
@@ -299,7 +298,7 @@ impl WorkloadState {
             ("gen", self.gen.snapshot_state()),
             ("rngs", Value::Array(rngs)),
             ("pending_stall", snap::u64_value(self.pending_stall.0)),
-        ]))
+        ])
     }
 
     /// Rebuild a workload from [`checkpoint_value`](Self::checkpoint_value)
@@ -990,14 +989,14 @@ impl SystemState {
     /// Telemetry is deliberately NOT serialized: recording never affects
     /// simulation results, and a restored state always starts with a
     /// disabled sink (the runner re-installs the configured handle).
-    pub fn checkpoint_value(&self) -> Result<vulcan_json::Value, String> {
+    pub fn checkpoint_value(&self) -> vulcan_json::Value {
         use vulcan_json::{snap, Snapshot as _, Value};
         let workloads = self
             .workloads
             .iter()
             .map(WorkloadState::checkpoint_value)
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(snap::obj(vec![
+            .collect();
+        snap::obj(vec![
             ("machine", self.machine.snapshot()),
             ("tlbs", self.tlbs.snapshot()),
             ("workloads", Value::Array(workloads)),
@@ -1012,7 +1011,7 @@ impl SystemState {
                 snap::u64_value(u64::from(self.next_sim_tid)),
             ),
             ("next_core", snap::u64_value(u64::from(self.next_core))),
-        ]))
+        ])
     }
 
     /// Rebuild a system state from [`checkpoint_value`](Self::checkpoint_value)
