@@ -150,77 +150,6 @@ fn run_mix(mix: &Mix, reps: u32) -> (u64, u128, f64) {
     best.expect("at least one repetition")
 }
 
-/// The sharded-sweep scenario: four core-disjoint hit-heavy tenants on a
-/// 16-core machine, everything preallocated in fast so the plenty guard
-/// holds and every quantum takes the sharded path. Measures the wall
-/// clock of the same simulation at `shards = 1` versus `shards = n` —
-/// results are byte-identical, only the sweep parallelism differs.
-fn shard_cell(shards: usize) -> SimRunner {
-    let cfg = MicroConfig {
-        rss_pages: 8_192,
-        wss_pages: 1_024,
-        skew: 0.9,
-        read_ratio: 0.95,
-        accesses_per_op: 8,
-        wss_drift: 0,
-        fixed_op: Nanos::ZERO,
-    };
-    let tenants: Vec<WorkloadSpec> = (0..4)
-        .map(|i| micro_spec(&format!("hit{i}"), cfg.clone(), 4).preallocated(TierKind::Fast))
-        .collect();
-    SimRunner::builder()
-        .machine(MachineSpec::small(36_864, 16_384, 16))
-        .workloads(tenants)
-        .policy(Box::new(StaticPlacement))
-        .config(SimConfig {
-            n_quanta: 0,
-            record_series: false,
-            seed: 42,
-            shards,
-            ..Default::default()
-        })
-        .build()
-}
-
-/// Time `measure` quanta of the shard cell at a given shard count.
-/// Returns (wall_nanos, total_ops, sharded_quanta).
-fn run_shard_cell(shards: usize, warm: u64, measure: u64) -> (u128, u64, u64) {
-    let mut runner = shard_cell(shards);
-    for _ in 0..warm {
-        runner.run_quantum();
-    }
-    let ops_before: u64 = runner
-        .state
-        .workloads
-        .iter()
-        .map(|w| w.stats.ops_total)
-        .sum();
-    let t = Instant::now();
-    for _ in 0..measure {
-        runner.run_quantum();
-    }
-    let wall = t.elapsed().as_nanos();
-    let ops_after: u64 = runner
-        .state
-        .workloads
-        .iter()
-        .map(|w| w.stats.ops_total)
-        .sum();
-    (wall, ops_after - ops_before, runner.sharded_quanta())
-}
-
-/// Best-of-`reps` wall clock for the shard cell at `shards`.
-fn best_shard_wall(shards: usize, warm: u64, measure: u64, reps: u32) -> (u128, u64, u64) {
-    let mut best: Option<(u128, u64, u64)> = None;
-    for _ in 0..reps {
-        let run = run_shard_cell(shards, warm, measure);
-        if best.map(|(w, _, _)| run.0 < w).unwrap_or(true) {
-            best = Some(run);
-        }
-    }
-    best.expect("at least one repetition")
-}
-
 fn baseline_path() -> std::path::PathBuf {
     match std::env::var_os("HOTPATH_BASELINE") {
         Some(p) => std::path::PathBuf::from(p),
@@ -265,15 +194,6 @@ fn main() {
         .iter()
         .position(|a| a == "--only")
         .and_then(|i| args.get(i + 1).cloned());
-    // `--shards <n>` overrides the high side of the shard-speedup
-    // comparison (default 4; the low side is always 1).
-    let shard_hi = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse::<usize>().expect("--shards needs an integer"))
-        .unwrap_or(4);
-    assert!(shard_hi >= 1, "--shards needs an integer >= 1");
     // Plain `cargo test` runs harness=false bench binaries with no args:
     // smoke-test only, write nothing.
     let smoke = !bench_mode && !quick && !save_baseline;
@@ -316,60 +236,6 @@ fn main() {
         }
         println!("{line}");
         rows.push(Value::Object(row));
-    }
-
-    // Shard-speedup comparison: same cell, shards = 1 vs shards = hi.
-    // Skipped under `--only` (it is not one of the access mixes).
-    if only.is_none() {
-        let (warm, measure) = if smoke {
-            (0, 1)
-        } else if quick {
-            (2, 6)
-        } else {
-            (2, 16)
-        };
-        // The attainable ceiling is min(shards, host CPUs): on a 1-CPU
-        // host the two timings measure the same serial work plus merge
-        // overhead, so the ratio is pure noise — mark the row skipped
-        // rather than track a meaningless number.
-        let host_cpus = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        if host_cpus == 1 {
-            println!("hotpath/shard_speedup: skipped (single-CPU host; ratio would be noise)");
-            rows.push(Value::Object(
-                Map::new()
-                    .with("name", "shard_speedup")
-                    .with("shards", shard_hi as u64)
-                    .with("host_cpus", host_cpus as u64)
-                    .with("skipped_single_cpu", true),
-            ));
-        } else {
-            let (seq_wall, seq_ops, _) = best_shard_wall(1, warm, measure, reps);
-            let (par_wall, par_ops, par_quanta) = best_shard_wall(shard_hi, warm, measure, reps);
-            assert_eq!(
-                seq_ops, par_ops,
-                "shard cell must do identical work at every shard count"
-            );
-            let speedup = seq_wall as f64 / par_wall.max(1) as f64;
-            println!(
-                "hotpath/shard_speedup: {speedup:.2}x at {shard_hi} shards on {host_cpus} cpu(s) \
-                 ({:.2} ms -> {:.2} ms over {measure} quanta, {par_quanta} sharded)",
-                seq_wall as f64 / 1e6,
-                par_wall as f64 / 1e6,
-            );
-            rows.push(Value::Object(
-                Map::new()
-                    .with("name", "shard_speedup")
-                    .with("shards", shard_hi as u64)
-                    .with("host_cpus", host_cpus as u64)
-                    .with("sequential_wall_ns", seq_wall as u64)
-                    .with("sharded_wall_ns", par_wall as u64)
-                    .with("sharded_quanta", par_quanta)
-                    .with("ops", seq_ops)
-                    .with("shard_speedup", speedup),
-            ));
-        }
     }
 
     let report = Map::new()

@@ -45,9 +45,6 @@ pub struct ChurnOpts {
     pub quanta: u64,
     /// Minimum tenants each cell must spawn (0 disables the check).
     pub min_spawned: u64,
-    /// Intra-cell shard count (ISSUE 7); rows are byte-identical for
-    /// any value.
-    pub shards: usize,
 }
 
 impl ChurnOpts {
@@ -58,7 +55,6 @@ impl ChurnOpts {
             rates: &[2.0, 4.0],
             quanta: 160,
             min_spawned: 200,
-            shards: 1,
         }
     }
 
@@ -68,14 +64,7 @@ impl ChurnOpts {
             rates: &[3.0],
             quanta: 16,
             min_spawned: 0,
-            shards: 1,
         }
-    }
-
-    /// Override the intra-cell shard count.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
     }
 }
 
@@ -142,7 +131,7 @@ fn churn_grid(opts: &ChurnOpts) -> Vec<ChurnCell> {
     let mut grid = Vec::new();
     for &rate in opts.rates {
         for kind in PolicyKind::PAPER {
-            let mut cell = base_cell(kind, opts.quanta).with_shards(opts.shards);
+            let mut cell = base_cell(kind, opts.quanta);
             cell.label = format!("churn/{kind}/r{rate}");
             grid.push(ChurnCell {
                 cell,
@@ -254,7 +243,7 @@ pub fn run_churn(opts: &ChurnOpts) -> ChurnSweepReport {
     let controls: Vec<(Value, Vec<String>)> = PolicyKind::PAPER
         .into_par_iter()
         .map(|kind| {
-            let mut cell = base_cell(kind, opts.quanta).with_shards(opts.shards);
+            let mut cell = base_cell(kind, opts.quanta);
             cell.label = format!("churn/{kind}/r0");
             let baseline = cell.run();
             let engine = ChurnEngine::new(
@@ -356,7 +345,6 @@ mod tests {
             rates: &[5.0],
             quanta: 8,
             min_spawned: 1,
-            shards: 1,
         };
         let report = run_churn(&opts);
         assert!(
@@ -382,7 +370,6 @@ mod tests {
             rates: &[4.0],
             quanta: 6,
             min_spawned: 0,
-            shards: 1,
         };
         let a = run_churn(&opts);
         let b = run_churn(&opts);

@@ -103,16 +103,6 @@ pub fn colocation_specs() -> Vec<WorkloadSpec> {
     ]
 }
 
-/// Run one policy on a workload mix on the paper testbed.
-pub fn run_policy(
-    kind: PolicyKind,
-    specs: Vec<WorkloadSpec>,
-    n_quanta: u64,
-    seed: u64,
-) -> RunResult {
-    suite::ExperimentCell::new(kind, specs, n_quanta, seed).run()
-}
-
 /// Number of trials, overridable with `VULCAN_TRIALS` (paper uses 10).
 pub fn trials() -> u64 {
     std::env::var("VULCAN_TRIALS")

@@ -47,37 +47,27 @@ USAGE:
 OPTIONS (suite, oracle):
     --quick        CI scale: 1 trial per point, quanta capped at 20
     --threads <N>  thread-pool size (RAYON_NUM_THREADS is the env knob)
-    --shards <N>   intra-cell shards for the execute phase (default 1);
-                   artifacts are byte-identical for any value
     --list         list all 14 targets and exit
 
 OPTIONS (chaos):
     --quick        CI scale: 2 fault rates, 12 quanta per cell
     --threads <N>  thread-pool size
-                   (--shards is rejected: fault schedules are ordered
-                   across workloads, so chaos cells always run the
-                   sequential sweep)
 
 OPTIONS (churn):
     --quick        CI scale: 1 arrival rate, 16 quanta per cell
     --threads <N>  thread-pool size
-    --shards <N>   intra-cell shards (default 1); rows byte-identical
 
 OPTIONS (tiers):
     --quick        CI scale: paper policies only, 10 quanta per cell
     --threads <N>  thread-pool size
-    --shards <N>   intra-cell shards (default 1); rows byte-identical
 
 OPTIONS (tournament):
     --quick        CI scale: shorter prefix and continuations (the full
                    registry races either way)
     --threads <N>  thread-pool size (forks run concurrently)
-    --shards <N>   intra-cell shards for the origin prefix (default 1);
-                   rows byte-identical
 
---threads sizes the pool running whole cells concurrently; --shards
-splits the workloads inside each cell across core-disjoint sweeps with
-a deterministic quantum-boundary merge. The two compose.
+--threads sizes the pool running whole cells concurrently; each cell
+runs on one thread.
 
 The chaos sweep exits non-zero if any cell panics, leaks a frame at
 teardown, lets Vulcan's FTHR drop below GPT, or produces rate-0 output
@@ -114,25 +104,13 @@ fn usage_error(msg: &str) -> ! {
 struct GridArgs {
     quick: bool,
     list: bool,
-    /// Intra-cell shard count; `None` leaves each cell's own value
-    /// (1 unless a grid sets otherwise). Zero fails at parse time.
-    shards: Option<usize>,
     names: Vec<String>,
-}
-
-fn parse_shards(v: Option<&str>) -> usize {
-    match v.and_then(|v| v.parse::<usize>().ok()) {
-        Some(0) => usage_error("--shards must be at least 1 (1 = sequential sweep)"),
-        Some(n) => n,
-        None => usage_error("--shards needs a positive integer"),
-    }
 }
 
 fn parse_grid_args(args: &[String]) -> GridArgs {
     let mut parsed = GridArgs {
         quick: false,
         list: false,
-        shards: None,
         names: Vec::new(),
     };
     let mut it = args.iter();
@@ -152,10 +130,6 @@ fn parse_grid_args(args: &[String]) -> GridArgs {
                     .parse::<usize>()
                     .unwrap_or_else(|_| usage_error("--threads needs a positive integer"));
                 rayon::pool::set_num_threads(n);
-            }
-            "--shards" => parsed.shards = Some(parse_shards(it.next().map(String::as_str))),
-            flag if flag.starts_with("--shards=") => {
-                parsed.shards = Some(parse_shards(Some(&flag["--shards=".len()..])));
             }
             flag if flag.starts_with("--") => usage_error(&format!("unknown option '{flag}'")),
             name => parsed.names.push(name.to_string()),
@@ -192,12 +166,7 @@ fn selected_entries(names: &[String]) -> Vec<&'static vulcan_bench::suite::Suite
 }
 
 fn cmd_suite(args: &[String]) {
-    let GridArgs {
-        quick,
-        list,
-        shards,
-        names,
-    } = parse_grid_args(args);
+    let GridArgs { quick, list, names } = parse_grid_args(args);
     if list {
         print_target_list();
         return;
@@ -225,12 +194,7 @@ fn cmd_suite(args: &[String]) {
             );
             continue;
         };
-        let mut exp = build(&opts);
-        if let Some(n) = shards {
-            for cell in &mut exp.cells {
-                cell.shards = n;
-            }
-        }
+        let exp = build(&opts);
         let results = exp.run();
         for (cell, res) in exp.cells.iter().zip(&results) {
             table.row(&[
@@ -257,20 +221,9 @@ fn cmd_suite(args: &[String]) {
 }
 
 fn cmd_chaos(args: &[String]) {
-    let GridArgs {
-        quick,
-        list,
-        shards,
-        names,
-    } = parse_grid_args(args);
+    let GridArgs { quick, list, names } = parse_grid_args(args);
     if list || !names.is_empty() {
         usage_error("chaos takes no targets (it runs one fixed grid)");
-    }
-    if shards.is_some() {
-        usage_error(
-            "chaos does not accept --shards: fault schedules are ordered across \
-             workloads, so chaos cells always run the sequential sweep",
-        );
     }
     let opts = if quick {
         vulcan_bench::chaos::ChaosOpts::quick()
@@ -297,23 +250,15 @@ fn cmd_chaos(args: &[String]) {
 }
 
 fn cmd_churn(args: &[String]) {
-    let GridArgs {
-        quick,
-        list,
-        shards,
-        names,
-    } = parse_grid_args(args);
+    let GridArgs { quick, list, names } = parse_grid_args(args);
     if list || !names.is_empty() {
         usage_error("churn takes no targets (it runs one fixed grid)");
     }
-    let mut opts = if quick {
+    let opts = if quick {
         vulcan_bench::churn::ChurnOpts::quick()
     } else {
         vulcan_bench::churn::ChurnOpts::full()
     };
-    if let Some(n) = shards {
-        opts = opts.with_shards(n);
-    }
     let report = vulcan_bench::churn::run_churn(&opts);
     vulcan_bench::churn::churn_table(&report.rows).print();
     if !report.violations.is_empty() {
@@ -331,23 +276,15 @@ fn cmd_churn(args: &[String]) {
 }
 
 fn cmd_tiers(args: &[String]) {
-    let GridArgs {
-        quick,
-        list,
-        shards,
-        names,
-    } = parse_grid_args(args);
+    let GridArgs { quick, list, names } = parse_grid_args(args);
     if list || !names.is_empty() {
         usage_error("tiers takes no targets (it runs one fixed grid)");
     }
-    let mut opts = if quick {
+    let opts = if quick {
         vulcan_bench::tiers::TiersOpts::quick()
     } else {
         vulcan_bench::tiers::TiersOpts::full()
     };
-    if let Some(n) = shards {
-        opts = opts.with_shards(n);
-    }
     let report = vulcan_bench::tiers::run_tiers(&opts);
     vulcan_bench::tiers::tiers_table(&report.rows).print();
     if !report.violations.is_empty() {
@@ -365,23 +302,15 @@ fn cmd_tiers(args: &[String]) {
 }
 
 fn cmd_tournament(args: &[String]) {
-    let GridArgs {
-        quick,
-        list,
-        shards,
-        names,
-    } = parse_grid_args(args);
+    let GridArgs { quick, list, names } = parse_grid_args(args);
     if list || !names.is_empty() {
         usage_error("tournament takes no targets (it runs one fixed grid)");
     }
-    let mut opts = if quick {
+    let opts = if quick {
         vulcan_bench::tournament::TournamentOpts::quick()
     } else {
         vulcan_bench::tournament::TournamentOpts::full()
     };
-    if let Some(n) = shards {
-        opts = opts.with_shards(n);
-    }
     let report = vulcan_bench::tournament::run_tournament(&opts);
     vulcan_bench::tournament::tournament_table(&report.rows).print();
     if !report.violations.is_empty() {
@@ -421,12 +350,7 @@ fn cmd_oracle(_args: &[String]) {
 
 #[cfg(feature = "oracle")]
 fn cmd_oracle(args: &[String]) {
-    let GridArgs {
-        quick,
-        list,
-        shards,
-        names,
-    } = parse_grid_args(args);
+    let GridArgs { quick, list, names } = parse_grid_args(args);
     if list {
         print_target_list();
         return;
@@ -448,12 +372,7 @@ fn cmd_oracle(args: &[String]) {
             );
             continue;
         };
-        let mut exp = build(&opts);
-        if let Some(n) = shards {
-            for cell in &mut exp.cells {
-                cell.shards = n;
-            }
-        }
+        let exp = build(&opts);
         cells += exp.cells.len();
         // A divergence panics inside the grid run with the structure,
         // VPN and simulated time identified; completion means every

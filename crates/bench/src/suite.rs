@@ -73,9 +73,6 @@ pub struct ExperimentCell {
     pub replication: bool,
     /// Fault-injection rates (ISSUE 5; all-zero = disabled, exact no-op).
     pub faults: vulcan::sim::FaultConfig,
-    /// Intra-cell shard count for the execute phase (ISSUE 7). `1` is
-    /// the sequential sweep; results are byte-identical for any value.
-    pub shards: usize,
 }
 
 impl ExperimentCell {
@@ -113,7 +110,6 @@ impl ExperimentCell {
             quantum_active: None,
             replication: true,
             faults: vulcan::sim::FaultConfig::default(),
-            shards: 1,
         }
     }
 
@@ -141,19 +137,12 @@ impl ExperimentCell {
         self
     }
 
-    /// Shard the execute phase across `n` core-disjoint sweeps.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
-    }
-
     fn config(&self, n_quanta: u64) -> SimConfig {
         let mut cfg = SimConfig {
             n_quanta,
             seed: self.seed,
             replication: self.replication,
             faults: self.faults.clone(),
-            shards: self.shards,
             ..Default::default()
         };
         if let Some(q) = self.quantum_active {

@@ -62,8 +62,6 @@ pub struct TiersOpts {
     /// Race the full registry (`PolicyKind::ALL`) or just the four
     /// paper systems.
     pub all_policies: bool,
-    /// Intra-cell shard count (rows are byte-identical for any value).
-    pub shards: usize,
 }
 
 impl TiersOpts {
@@ -72,7 +70,6 @@ impl TiersOpts {
         TiersOpts {
             quanta: 40,
             all_policies: true,
-            shards: 1,
         }
     }
 
@@ -81,14 +78,7 @@ impl TiersOpts {
         TiersOpts {
             quanta: 10,
             all_policies: false,
-            shards: 1,
         }
-    }
-
-    /// Override the intra-cell shard count.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
     }
 
     fn policies(&self) -> &'static [PolicyKind] {
@@ -146,8 +136,7 @@ fn tiers_grid(opts: &TiersOpts) -> Vec<TiersCell> {
         for &kind in opts.policies() {
             let mut cell = ExperimentCell::new(kind, tiers_specs(), opts.quanta, TIERS_SEED)
                 .on_machine(machine.clone())
-                .with_quantum_active(Nanos::millis(1))
-                .with_shards(opts.shards);
+                .with_quantum_active(Nanos::millis(1));
             cell.label = format!("{}/{kind}", shape.name);
             grid.push(TiersCell {
                 cell,
@@ -308,7 +297,6 @@ mod tests {
         let opts = TiersOpts {
             quanta: 4,
             all_policies: false,
-            shards: 1,
         };
         let report = run_tiers(&opts);
         assert!(
@@ -344,7 +332,6 @@ mod tests {
         let opts = TiersOpts {
             quanta: 3,
             all_policies: false,
-            shards: 1,
         };
         let a = run_tiers(&opts);
         let b = run_tiers(&opts);

@@ -80,9 +80,6 @@ pub struct TournamentOpts {
     pub quanta: u64,
     /// Fork the full registry or just the four paper systems.
     pub all_policies: bool,
-    /// Intra-cell shard count for the origin prefix (rows are
-    /// byte-identical for any value).
-    pub shards: usize,
 }
 
 impl TournamentOpts {
@@ -93,7 +90,6 @@ impl TournamentOpts {
             fork_at: 12,
             quanta: 36,
             all_policies: true,
-            shards: 1,
         }
     }
 
@@ -106,14 +102,7 @@ impl TournamentOpts {
             fork_at: 4,
             quanta: 12,
             all_policies: true,
-            shards: 1,
         }
-    }
-
-    /// Override the intra-cell shard count of the origin prefix.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
     }
 
     fn policies(&self) -> &'static [PolicyKind] {
@@ -263,7 +252,6 @@ pub fn run_tournament(opts: &TournamentOpts) -> TournamentReport {
             n_quanta: opts.quanta,
             seed: TOURNAMENT_SEED,
             quantum_active: Nanos::millis(1),
-            shards: opts.shards,
             ..Default::default()
         })
         .build();
@@ -413,7 +401,6 @@ mod tests {
             fork_at: 3,
             quanta: 10,
             all_policies: false,
-            shards: 1,
         }
     }
 
@@ -475,7 +462,7 @@ mod tests {
     #[test]
     fn rows_are_identical_across_reruns_and_shard_counts() {
         let a = run_tournament(&tiny());
-        let b = run_tournament(&tiny().with_shards(4));
+        let b = run_tournament(&tiny());
         assert_eq!(a.rows.len(), b.rows.len());
         for (ra, rb) in a.rows.iter().zip(&b.rows) {
             assert_eq!(ra.to_json(), rb.to_json());

@@ -147,16 +147,6 @@ impl Catalog {
         &self.templates
     }
 
-    /// Largest template RSS — the capacity floor below which admission
-    /// would reject every instance of that template.
-    pub fn max_rss_pages(&self) -> u64 {
-        self.templates
-            .iter()
-            .map(TenantTemplate::rss_pages)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Pick a template from a uniform draw `u ∈ [0, 1)` by cumulative
     /// weight. Deterministic: same `u`, same template.
     pub fn pick(&self, u: f64) -> &TenantTemplate {

@@ -40,7 +40,7 @@ fn anchors() -> Vec<WorkloadSpec> {
     ]
 }
 
-fn runner(seed: u64, shards: usize) -> SimRunner {
+fn runner(seed: u64) -> SimRunner {
     SimRunner::builder()
         .machine(MachineSpec::small(1_024, 16_384, 8))
         .workloads(anchors())
@@ -50,7 +50,6 @@ fn runner(seed: u64, shards: usize) -> SimRunner {
             quantum_active: Nanos::micros(200),
             n_quanta: 0, // the engine owns stepping
             seed,
-            shards,
             ..Default::default()
         })
         .build()
@@ -67,53 +66,50 @@ fn churny_cfg(n_quanta: u64) -> ChurnConfig {
     }
 }
 
-fn engine(seed: u64, n_quanta: u64, shards: usize) -> ChurnEngine {
+fn engine(seed: u64, n_quanta: u64) -> ChurnEngine {
     ChurnEngine::new(
-        runner(seed, shards),
+        runner(seed),
         seed,
         churny_cfg(n_quanta),
         Catalog::default_mix(),
     )
 }
 
-/// checkpoint@k → restore → run_remaining ≡ straight run, at shards 1
-/// and 4, over several checkpoint positions including quantum 0 (before
-/// the first step) — the artifact text itself must match, not just the
-/// tallies.
+/// checkpoint@k → restore → run_remaining ≡ straight run over several
+/// checkpoint positions including quantum 0 (before the first step) —
+/// the artifact text itself must match, not just the tallies.
 #[test]
 fn mid_churn_identity_shards_1_and_4() {
     let n_quanta = 24;
-    for shards in [1usize, 4] {
-        let straight = engine(42, n_quanta, shards).run();
-        let straight_json = straight.to_value().to_json();
-        for at in [0u64, 7, 15] {
-            let mut e = engine(42, n_quanta, shards);
-            for _ in 0..at {
-                e.step();
-            }
-            let text = e.checkpoint().unwrap().to_json();
-            let v = parse_checkpoint(&text).unwrap();
-            let resumed = ChurnEngine::restore(
-                &v,
-                Box::new(StaticPlacement),
-                |_: &WorkloadSpec| Box::new(PebsProfiler::new(4)),
-                Catalog::default_mix(),
-            )
-            .unwrap();
-            // Idempotency before replay: checkpoint(restore(c)) == c.
-            assert_eq!(
-                resumed.checkpoint().unwrap().to_json(),
-                text,
-                "re-checkpoint diverged at quantum {at}, shards {shards}"
-            );
-            let report = resumed.run_remaining();
-            assert_eq!(report.stats, straight.stats, "at {at}, shards {shards}");
-            assert_eq!(
-                report.to_value().to_json(),
-                straight_json,
-                "artifact diverged for checkpoint at quantum {at}, shards {shards}"
-            );
+    let straight = engine(42, n_quanta).run();
+    let straight_json = straight.to_value().to_json();
+    for at in [0u64, 7, 15] {
+        let mut e = engine(42, n_quanta);
+        for _ in 0..at {
+            e.step();
         }
+        let text = e.checkpoint().unwrap().to_json();
+        let v = parse_checkpoint(&text).unwrap();
+        let resumed = ChurnEngine::restore(
+            &v,
+            Box::new(StaticPlacement),
+            |_: &WorkloadSpec| Box::new(PebsProfiler::new(4)),
+            Catalog::default_mix(),
+        )
+        .unwrap();
+        // Idempotency before replay: checkpoint(restore(c)) == c.
+        assert_eq!(
+            resumed.checkpoint().unwrap().to_json(),
+            text,
+            "re-checkpoint diverged at quantum {at}"
+        );
+        let report = resumed.run_remaining();
+        assert_eq!(report.stats, straight.stats, "at {at}");
+        assert_eq!(
+            report.to_value().to_json(),
+            straight_json,
+            "artifact diverged for checkpoint at quantum {at}"
+        );
     }
 }
 
@@ -122,7 +118,7 @@ fn mid_churn_identity_shards_1_and_4() {
 /// non-trivial, and arrivals have been tallied.
 #[test]
 fn checkpoint_carries_live_churn_state() {
-    let mut e = engine(42, 24, 1);
+    let mut e = engine(42, 24);
     for _ in 0..12 {
         e.step();
     }
@@ -144,7 +140,7 @@ fn checkpoint_carries_live_churn_state() {
 /// pointed error, not silently resumed as a rate-0 engine.
 #[test]
 fn restore_rejects_static_checkpoint() {
-    let r = runner(42, 1);
+    let r = runner(42);
     let text = r.checkpoint().unwrap().to_json();
     let v = parse_checkpoint(&text).unwrap();
     let err = ChurnEngine::restore(

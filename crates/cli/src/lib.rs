@@ -266,8 +266,6 @@ pub struct ExperimentConfig {
     pub workloads: Vec<WorkloadConfig>,
     /// Optional path to dump the full series JSON.
     pub series_out: Option<String>,
-    /// Intra-cell shard count for the quantum sweep (1 = sequential).
-    pub shards: usize,
 }
 
 fn default_seconds() -> u64 {
@@ -302,10 +300,6 @@ impl ExperimentConfig {
             None => default_policy(),
             Some(name) => name.parse::<PolicyKind>().map_err(|e| e.to_string())?,
         };
-        let shards = match opt_u64(&v, "shards")?.unwrap_or(1) {
-            0 => return Err("config error: \"shards\" must be >= 1".into()),
-            n => n as usize,
-        };
         Ok(ExperimentConfig {
             machine,
             seconds: opt_u64(&v, "seconds")?.unwrap_or_else(default_seconds),
@@ -313,7 +307,6 @@ impl ExperimentConfig {
             policy,
             workloads,
             series_out: opt_str(&v, "series_out")?,
-            shards,
         })
     }
 
@@ -365,7 +358,6 @@ impl ExperimentConfig {
                 n_quanta: self.seconds,
                 seed: self.seed,
                 telemetry,
-                shards: self.shards,
                 ..Default::default()
             })
             .build())
@@ -378,7 +370,6 @@ impl ExperimentConfig {
   "seconds": 120,
   "seed": 42,
   "policy": "vulcan",
-  "shards": 1,
   "workloads": [
     { "kind": "preset", "preset": "memcached" },
     { "kind": "preset", "preset": "liblinear", "start_sec": 30 },

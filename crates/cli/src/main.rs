@@ -24,11 +24,6 @@ USAGE:
 OPTIONS (run):
     --trace <out.jsonl>   write the structured event trace as JSON lines
     --metrics             print the telemetry summary after the run
-    --shards <n>          shard the quantum sweep across n worker threads
-                          within the cell (default 1 = sequential; results
-                          are byte-identical for any n). Conflicts with
-                          --trace/--metrics: telemetry forces the
-                          sequential path, so combining them is an error.
 
 OPTIONS (churn):
     --rate <r>            arrivals per simulated second (default 2.0;
@@ -39,8 +34,6 @@ OPTIONS (churn):
                           (default 42; same seed, same run, bit for bit)
     --policy <name>       tiering policy (default vulcan)
     --trace <out.jsonl>   write the structured event trace as JSON lines
-    --shards <n>          shard the quantum sweep within the cell
-                          (default 1; conflicts with --trace)
     --out <report.json>   write the deterministic churn report artifact
     --checkpoint-at <q>   serialize the engine after quantum q (the run
                           still continues to completion)
@@ -55,15 +48,6 @@ OPTIONS (resume):
                           (sha256-comparable with the straight run's
                           series_out)
 ";
-
-/// Parse a `--shards` value: a positive integer, 0 and garbage rejected
-/// at config load (exit 2) rather than at run time.
-fn parse_shards_value(v: &str) -> Result<usize, CliError> {
-    v.parse::<usize>()
-        .ok()
-        .filter(|n| *n >= 1)
-        .ok_or_else(|| CliError::Usage("--shards needs an integer >= 1".into()))
-}
 
 /// A usage or configuration error (exit status 2), as opposed to a
 /// runtime failure such as an unwritable output file (exit status 1).
@@ -106,14 +90,12 @@ struct RunArgs {
     config: String,
     trace: Option<String>,
     metrics: bool,
-    shards: Option<usize>,
 }
 
 fn parse_run_args(args: &[String]) -> Result<RunArgs, CliError> {
     let mut config = None;
     let mut trace = None;
     let mut metrics = false;
-    let mut shards = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -125,12 +107,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, CliError> {
                 );
             }
             "--metrics" => metrics = true,
-            "--shards" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--shards needs a value".into()))?;
-                shards = Some(parse_shards_value(v)?);
-            }
             flag if flag.starts_with("--") => {
                 return Err(CliError::Usage(format!("unknown option '{flag}'")));
             }
@@ -144,24 +120,12 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, CliError> {
         config: config.ok_or_else(|| CliError::Usage("run needs a config path".into()))?,
         trace,
         metrics,
-        shards,
     })
 }
 
 fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let run = parse_run_args(args)?;
-    let mut cfg = load(&run.config)?;
-    if let Some(n) = run.shards {
-        cfg.shards = n;
-    }
-    if cfg.shards > 1 && (run.trace.is_some() || run.metrics) {
-        return Err(CliError::Usage(
-            "--shards > 1 conflicts with --trace/--metrics: telemetry \
-             forces the sequential sweep, so the flag would be silently \
-             ignored; drop one of them"
-                .into(),
-        ));
-    }
+    let cfg = load(&run.config)?;
     let telemetry = if run.trace.is_some() || run.metrics {
         Telemetry::enabled()
     } else {
@@ -189,7 +153,6 @@ struct ChurnArgs {
     seed: u64,
     policy: PolicyKind,
     trace: Option<String>,
-    shards: usize,
     out: Option<String>,
     checkpoint_at: Option<u64>,
     checkpoint_out: Option<String>,
@@ -202,7 +165,6 @@ fn parse_churn_args(args: &[String]) -> Result<ChurnArgs, CliError> {
         seed: 42,
         policy: PolicyKind::Vulcan,
         trace: None,
-        shards: 1,
         out: None,
         checkpoint_at: None,
         checkpoint_out: None,
@@ -244,7 +206,6 @@ fn parse_churn_args(args: &[String]) -> Result<ChurnArgs, CliError> {
                     .map_err(|e| CliError::Usage(e.to_string()))?;
             }
             "--trace" => parsed.trace = Some(value("--trace")?),
-            "--shards" => parsed.shards = parse_shards_value(&value("--shards")?)?,
             "--out" => parsed.out = Some(value("--out")?),
             "--checkpoint-at" => {
                 parsed.checkpoint_at =
@@ -260,14 +221,6 @@ fn parse_churn_args(args: &[String]) -> Result<ChurnArgs, CliError> {
                 return Err(CliError::Usage(format!("unexpected argument '{extra}'")));
             }
         }
-    }
-    if parsed.shards > 1 && parsed.trace.is_some() {
-        return Err(CliError::Usage(
-            "--shards > 1 conflicts with --trace: telemetry forces the \
-             sequential sweep, so the flag would be silently ignored; \
-             drop one of them"
-                .into(),
-        ));
     }
     if parsed.checkpoint_at.is_some() != parsed.checkpoint_out.is_some() {
         return Err(CliError::Usage(
@@ -384,7 +337,6 @@ fn cmd_churn(args: &[String]) -> Result<(), CliError> {
             seed: a.seed,
             quantum_active: Nanos::millis(1),
             telemetry: telemetry.clone(),
-            shards: a.shards,
             ..Default::default()
         })
         .build();

@@ -23,8 +23,7 @@
 //! capacity, and gives the map a deterministic iteration order.
 //!
 //! Each map has one owner, its workload's profiler, which writes it
-//! through `&mut`; the sharded sweep moves whole workloads between
-//! threads, so no map is ever shared and the table needs no atomics.
+//! through `&mut`; no map is ever shared, so the table needs no atomics.
 
 use std::fmt;
 use vulcan_vm::Vpn;

@@ -71,11 +71,7 @@ impl AccessBatch<'_> {
 /// access, [`on_hint_fault`](Profiler::on_hint_fault) when a poisoned PTE
 /// faults, and [`epoch`](Profiler::epoch) at each profiling interval; the
 /// returned cycles are charged to the daemon, not the application.
-///
-/// `Send` is a supertrait: profilers are per-workload state, and the
-/// sharded execute phase moves each workload (profiler included) onto a
-/// shard thread for the duration of a quantum.
-pub trait Profiler: Send {
+pub trait Profiler {
     /// Observe one demand access (the mechanism decides whether to sample).
     fn on_access(&mut self, vpn: Vpn, is_write: bool);
 

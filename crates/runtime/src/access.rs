@@ -2,7 +2,7 @@
 //! paging, hint faults and replication faults.
 //!
 //! Every generator runs through one loop, the batched plane sweep
-//! (DESIGN §11): the generator fills a struct-of-arrays [`AccessPlan`]
+//! (DESIGN §10): the generator fills a struct-of-arrays [`AccessPlan`]
 //! for a whole chunk of ops, the TLB probes read-hit runs over the flat
 //! planes, only cold accesses (writes, misses, huge-region hits) drop
 //! into the full per-access path, and the profiler consumes the
@@ -288,7 +288,7 @@ fn try_thp_fault(
 
 /// Run one thread of a workload for (at least) `budget` of simulated
 /// time, completing whole operations, as the batched plane sweep
-/// (DESIGN §11). Per chunk of [`BATCH_OPS`] ops:
+/// (DESIGN §10). Per chunk of [`BATCH_OPS`] ops:
 ///
 /// 1. **fill** — the generator writes a struct-of-arrays [`AccessPlan`]
 ///    (generator state and RNG snapshotted first, for the budget

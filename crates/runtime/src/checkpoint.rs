@@ -17,9 +17,6 @@
 //!   checkpoint stores the policy's *name* and its serialized state; the
 //!   caller reconstructs the object (same kind, same config) and the
 //!   restore replays the state into it.
-//! - **Shard observability** (`last_execute_mode`, `sharded_quanta`) —
-//!   never part of any artifact, and outcomes are byte-identical for
-//!   every shard count by the ISSUE 7 contract.
 
 use vulcan_json::Value;
 

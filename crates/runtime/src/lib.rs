@@ -19,7 +19,6 @@ pub mod policy;
 #[cfg(test)]
 mod reference;
 pub mod runner;
-pub mod shard;
 pub mod state;
 
 pub use checkpoint::{CheckpointError, CHECKPOINT_FORMAT, CHECKPOINT_VERSION};
@@ -28,7 +27,6 @@ pub use runner::{
     hot_page_ratio, QuantumOutcome, RunResult, SimConfig, SimRunner, SimRunnerBuilder,
     WorkloadQuantum, WorkloadResult,
 };
-pub use shard::{plan_shards, ExecuteMode, ShardPlan};
 pub use state::{
     MigrationCounts, SpawnError, SystemState, WorkloadState, WorkloadStats, FTHR_ALPHA,
 };

@@ -8,9 +8,9 @@
 //! Throughput and bandwidth are normalized to simulated *active* time, so
 //! the scaling does not distort any reported rate.
 
+use crate::access::run_thread_quantum;
 use crate::policy::TieringPolicy;
-use crate::shard::{self, ExecuteMode};
-use crate::state::{MigrationCounts, SystemState};
+use crate::state::{MigrationCounts, SystemState, WorkloadState};
 use vulcan_metrics::{CfiAccumulator, PlaneSample, SeriesSet, StatPlanes};
 use vulcan_profile::AnyProfiler;
 use vulcan_sim::{
@@ -18,6 +18,7 @@ use vulcan_sim::{
     N_FAULT_SITES,
 };
 use vulcan_telemetry::{Counter, EventKind, Telemetry};
+use vulcan_vm::TlbArray;
 use vulcan_workloads::{WorkloadClass, WorkloadSpec};
 
 /// Configuration of a simulation run.
@@ -45,14 +46,11 @@ pub struct SimConfig {
     /// `seed`, so reruns and different `--threads` values see the same
     /// fault sequence.
     pub faults: FaultConfig,
-    /// Intra-cell shard count for the quantum's execute phase (ISSUE 7).
-    /// `1` (the default) is the monolithic sequential sweep; larger
-    /// values sweep core-disjoint workload groups on parallel OS
-    /// threads with a deterministic quantum-boundary merge, so every
-    /// reported number is byte-identical for any value. Quanta where
-    /// the determinism contract cannot be met (telemetry or fault
-    /// injection enabled, fewer than two core-disjoint groups, a tier
-    /// too full for the plenty guard) silently run sequentially.
+    /// Has no effect: every quantum runs one sequential sweep. The
+    /// member once split that sweep across threads without changing any
+    /// result. It stays because `perfbench` still names it in a
+    /// `SimConfig` literal; checkpoints still write it and read it back,
+    /// so their bytes are unchanged.
     pub shards: usize,
 }
 
@@ -201,10 +199,6 @@ pub struct WorkloadQuantum {
 /// The typed result of one [`SimRunner::run_quantum`] step: everything
 /// step-wise drivers (the churn engine, tests) previously scraped out
 /// of `SystemState` internals.
-///
-/// Outcomes are byte-identical for any [`SimConfig::shards`] value —
-/// which is why the execute mode is *not* a field here; use
-/// [`SimRunner::last_execute_mode`] to observe it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QuantumOutcome {
     /// Index of the quantum that ran (pre-increment).
@@ -234,11 +228,6 @@ pub struct SimRunner {
     series: SeriesSet,
     cfi: CfiAccumulator,
     planes: StatPlanes,
-    // How the last quantum's execute phase ran, plus how many quanta
-    // took the sharded path (observability for shard-equivalence tests;
-    // never part of any artifact).
-    last_execute_mode: ExecuteMode,
-    sharded_quanta: u64,
     // Telemetry handles held across quanta (cheap no-ops when disabled).
     ops_counter: Counter,
     fast_hits_counter: Counter,
@@ -444,8 +433,6 @@ impl SimRunner {
             series: SeriesSet::new(),
             cfi: CfiAccumulator::new(n),
             planes: StatPlanes::new(n),
-            last_execute_mode: ExecuteMode::Sequential,
-            sharded_quanta: 0,
             ops_counter,
             fast_hits_counter,
             slow_hits_counter,
@@ -636,8 +623,6 @@ impl SimRunner {
             series,
             cfi,
             planes,
-            last_execute_mode: ExecuteMode::Sequential,
-            sharded_quanta: 0,
             ops_counter,
             fast_hits_counter,
             slow_hits_counter,
@@ -696,9 +681,8 @@ impl SimRunner {
     /// 1. **admit** — staggered arrivals, departures, and commits of
     ///    async transactions whose copy window elapsed;
     /// 2. **execute** — every thread of every started workload sweeps
-    ///    its active window (sequentially, or sharded across
-    ///    core-disjoint groups per [`SimConfig::shards`]), the
-    ///    bandwidth contention rolls, and profiling epochs run;
+    ///    its active window, the bandwidth contention rolls, and
+    ///    profiling epochs run;
     /// 3. **decide + migrate** — the policy observes the state and
     ///    issues migrations;
     /// 4. **account** — per-quantum stats roll into the planes, the
@@ -713,15 +697,7 @@ impl SimRunner {
         }
 
         self.phase_admit();
-
-        // Execute + profile (sharded when the determinism contract
-        // holds; see `crate::shard`).
-        let mode =
-            shard::execute_quantum(&mut self.state, self.cfg.quantum_active, self.cfg.shards);
-        if let ExecuteMode::Sharded { .. } = mode {
-            self.sharded_quanta += 1;
-        }
-        self.last_execute_mode = mode;
+        self.phase_execute();
 
         // Policy decisions.
         let st = &mut self.state;
@@ -757,17 +733,6 @@ impl SimRunner {
         self.state.quantum_index += 1;
         outcome.ended_at = self.state.now;
         outcome
-    }
-
-    /// How the most recent quantum's execute phase ran. Stays
-    /// [`ExecuteMode::Sequential`] until the first quantum completes.
-    pub fn last_execute_mode(&self) -> ExecuteMode {
-        self.last_execute_mode
-    }
-
-    /// How many quanta so far took the sharded execute path.
-    pub fn sharded_quanta(&self) -> u64 {
-        self.sharded_quanta
     }
 
     /// Phase 1: staggered arrivals (§5.3), departures, and async-copy
@@ -811,6 +776,58 @@ impl SimRunner {
             if st.workloads[wi].started && st.workloads[wi].async_migrator.inflight() > 0 {
                 let mech = st.workloads[wi].async_mech;
                 st.poll_async(wi, &mech);
+            }
+        }
+    }
+
+    /// Phase 2: every thread of every started workload, then the
+    /// bandwidth roll, then the profiling epochs.
+    fn phase_execute(&mut self) {
+        let st = &mut self.state;
+        let quantum = self.cfg.quantum_active;
+        // Execute every thread of every started workload.
+        for wi in 0..st.workloads.len() {
+            if !st.workloads[wi].started {
+                continue;
+            }
+            // Split the workload out of the Vec to borrow machine+tlbs
+            // mutably alongside it.
+            let (machine, tlbs) = (&mut st.machine, &mut st.tlbs);
+            let ws = &mut st.workloads[wi];
+            execute_workload(machine, tlbs, ws, quantum);
+        }
+
+        // Roll bandwidth contention into the next quantum.
+        st.machine.end_quantum(quantum);
+
+        // Profiling epochs (daemon side). Freshly poisoned PTEs must be
+        // flushed from the workload's TLBs so the hint faults fire.
+        for ws in &mut st.workloads {
+            if !ws.started {
+                continue;
+            }
+            let out = ws.profiler.epoch(&mut ws.process.space);
+            ws.stats.daemon_cycles += out.cycles;
+            if st.telemetry.is_enabled() {
+                st.telemetry
+                    .record_phase(&ws.spec.name, "profiler.epoch", out.cycles);
+                st.telemetry.emit(
+                    st.now,
+                    Some(&ws.spec.name),
+                    EventKind::ProfilerScan {
+                        pages_poisoned: out.poisoned.len() as u64,
+                    },
+                );
+            }
+            if !out.poisoned.is_empty() {
+                let cores = st
+                    .machine
+                    .topology
+                    .cores_of(ws.process.sim_threads().iter().copied());
+                for vpn in out.poisoned {
+                    st.tlbs
+                        .invalidate_on(cores.iter().copied(), ws.process.asid, vpn);
+                }
             }
         }
     }
@@ -987,6 +1004,31 @@ impl SimRunner {
             series: self.series,
         }
     }
+}
+
+/// One workload's slice of the execute phase: charge pending
+/// sync-migration stall against the budget, sweep every thread, and
+/// account the blocked time.
+fn execute_workload(
+    machine: &mut Machine,
+    tlbs: &mut TlbArray,
+    ws: &mut WorkloadState,
+    quantum: Nanos,
+) {
+    let n_threads = ws.spec.n_threads;
+    // Charge pending sync-migration stall against this quantum.
+    let stall_per_thread = ws.pending_stall / n_threads as u64;
+    ws.pending_stall = Nanos::ZERO;
+    let budget = quantum.saturating_sub(stall_per_thread);
+    for t in 0..n_threads {
+        run_thread_quantum(machine, tlbs, ws, t, budget);
+    }
+    // Blocked time is wall time: it counts against throughput
+    // (ops / active second) and inflates the quantum's op
+    // latencies — on-critical-path migration is not free.
+    let blocked = stall_per_thread * n_threads as u64;
+    ws.stats.active_q += blocked;
+    ws.stats.op_latency_q += blocked;
 }
 
 /// Figure 1's "hot page ratio": the fraction of a workload's resident

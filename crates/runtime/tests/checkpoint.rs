@@ -47,7 +47,6 @@ fn specs() -> Vec<WorkloadSpec> {
 
 struct Cell {
     policy: fn() -> Box<dyn TieringPolicy>,
-    shards: usize,
     faults: FaultConfig,
 }
 
@@ -60,7 +59,6 @@ fn mk_runner(cell: &Cell, n_quanta: u64) -> SimRunner {
         .config(SimConfig {
             quantum_active: Nanos::micros(300),
             n_quanta,
-            shards: cell.shards,
             faults: cell.faults.clone(),
             ..Default::default()
         })
@@ -108,37 +106,21 @@ fn identity_static_policy_shards_1() {
     assert_identity(
         &Cell {
             policy: || Box::new(StaticPlacement),
-            shards: 1,
             faults: FaultConfig::default(),
         },
-        "static/1",
-    );
-}
-
-#[test]
-fn identity_static_policy_shards_4() {
-    assert_identity(
-        &Cell {
-            policy: || Box::new(StaticPlacement),
-            shards: 4,
-            faults: FaultConfig::default(),
-        },
-        "static/4",
+        "static",
     );
 }
 
 #[test]
 fn identity_uniform_policy_shards_1_and_4() {
-    for shards in [1, 4] {
-        assert_identity(
-            &Cell {
-                policy: || Box::new(UniformPartition),
-                shards,
-                faults: FaultConfig::default(),
-            },
-            &format!("uniform/{shards}"),
-        );
-    }
+    assert_identity(
+        &Cell {
+            policy: || Box::new(UniformPartition),
+            faults: FaultConfig::default(),
+        },
+        "uniform",
+    );
 }
 
 #[test]
@@ -149,7 +131,6 @@ fn identity_under_fault_injection() {
     assert_identity(
         &Cell {
             policy: || Box::new(StaticPlacement),
-            shards: 1,
             faults: FaultConfig {
                 alloc_fast_rate: 0.05,
                 copy_fail_rate: 0.05,
@@ -160,7 +141,8 @@ fn identity_under_fault_injection() {
     );
 }
 
-/// `checkpoint` with `key` appended to its `config` object.
+/// `checkpoint` with `key` set in its `config` object (appended if
+/// absent, replaced in place if present).
 fn with_config_member(checkpoint: &Value, key: &str, value: Value) -> Value {
     let mut root = Map::new();
     for (k, v) in checkpoint.as_object().unwrap().iter() {
@@ -182,7 +164,6 @@ fn with_config_member(checkpoint: &Value, key: &str, value: Value) -> Value {
 fn checkpoint_carrying_batched_planes_restores_and_replays() {
     let cell = Cell {
         policy: || Box::new(UniformPartition),
-        shards: 1,
         faults: FaultConfig::default(),
     };
     let (total, at) = (10, 4);
@@ -205,6 +186,38 @@ fn checkpoint_carrying_batched_planes_restores_and_replays() {
             "batched_planes={batched}"
         );
     }
+}
+
+/// A run that split its sweep across four threads wrote `"shards": 4`
+/// in its checkpoint's `config` object, and bytes otherwise identical to
+/// a one-thread run's. Every run now takes one sweep and the member has
+/// no effect: such a checkpoint restores, re-checkpoints to the same
+/// text, and replays to the straight run's outcomes and final state.
+#[test]
+fn checkpoint_written_at_four_shards_restores_and_replays() {
+    let cell = Cell {
+        policy: || Box::new(UniformPartition),
+        faults: FaultConfig::default(),
+    };
+    let (total, at) = (10, 4);
+    let (straight, straight_fin) = drive(&cell, total, None);
+    let mut runner = mk_runner(&cell, total);
+    let mut outcomes: Vec<QuantumOutcome> = (0..at).map(|_| runner.run_quantum()).collect();
+    let text = with_config_member(&runner.checkpoint().unwrap(), "shards", 4u64.into()).to_json();
+    assert!(
+        text.contains("\"shards\":4"),
+        "test premise: the member is set"
+    );
+    let v = parse_checkpoint(&text).unwrap();
+    runner = SimRunner::restore(&v, (cell.policy)(), |_| PebsProfiler::new(4)).unwrap();
+    assert_eq!(runner.checkpoint().unwrap().to_json(), text);
+    outcomes.extend((at..total).map(|_| runner.run_quantum()));
+    assert_eq!(outcomes, straight);
+    let straight_fin = parse_checkpoint(&straight_fin).unwrap();
+    assert_eq!(
+        runner.checkpoint().unwrap().to_json(),
+        with_config_member(&straight_fin, "shards", 4u64.into()).to_json()
+    );
 }
 
 #[test]
@@ -367,7 +380,6 @@ fn identity_with_inflight_async_migrations() {
 fn run_remaining_completes_the_original_plan() {
     let cell = Cell {
         policy: || Box::new(StaticPlacement),
-        shards: 1,
         faults: FaultConfig::default(),
     };
     let straight = mk_runner(&cell, 10).run();
@@ -396,7 +408,6 @@ fn restore_rejects_wrong_policy() {
     let runner = mk_runner(
         &Cell {
             policy: || Box::new(StaticPlacement),
-            shards: 1,
             faults: FaultConfig::default(),
         },
         4,
@@ -422,7 +433,6 @@ fn restore_rejects_wrong_policy() {
 fn restore_rejects_an_invalid_pte_tier_with_a_typed_error() {
     let static_cell = Cell {
         policy: || Box::new(StaticPlacement),
-        shards: 1,
         faults: FaultConfig::default(),
     };
     let mut runner = mk_runner(&static_cell, 4);
@@ -464,7 +474,6 @@ fn fork_swaps_policy_and_respecs_the_machine() {
     let total = 10;
     let cell = Cell {
         policy: || Box::new(StaticPlacement),
-        shards: 1,
         faults: FaultConfig::default(),
     };
     let mut origin = mk_runner(&cell, total);
@@ -526,7 +535,6 @@ fn fork_swaps_policy_and_respecs_the_machine() {
 fn fork_rejects_shape_changing_respec() {
     let cell = Cell {
         policy: || Box::new(StaticPlacement),
-        shards: 1,
         faults: FaultConfig::default(),
     };
     let mut origin = mk_runner(&cell, 4);

@@ -139,7 +139,6 @@ proptest! {
         uniform in any::<bool>(),
         three_tier in any::<bool>(),
         restore_at in 0u64..6,
-        shards in prop_oneof![Just(1usize), Just(4usize)],
     ) {
         let total = 7u64;
         let machine = if three_tier {
@@ -164,7 +163,6 @@ proptest! {
                     quantum_active: Nanos::micros(200),
                     n_quanta: total,
                     seed,
-                    shards,
                     ..Default::default()
                 })
                 .build()

@@ -79,13 +79,6 @@ impl BandwidthTracker {
         self.bytes[tier.index()]
     }
 
-    /// Zero the in-quantum byte counters, keeping the inflation factors.
-    /// Shard-local tracker views start from zero so their end-of-quantum
-    /// byte counts are directly the deltas to merge back.
-    pub fn reset_bytes(&mut self) {
-        self.bytes = [0; MAX_TIERS];
-    }
-
     /// Utilization `ρ` of `tier` if the current quantum lasted `quantum`.
     pub fn utilization(&self, tier: TierKind, quantum: Nanos) -> f64 {
         if quantum.0 == 0 {

@@ -95,54 +95,6 @@ impl FrameAllocator {
         }
     }
 
-    /// Build a *lease view*: an allocator over the same tier whose free
-    /// list is exactly `lease` (frames already allocated from a parent
-    /// allocator). Shard-local machines use this so demand allocations
-    /// inside a shard draw from a pre-reserved pool without touching the
-    /// shared allocator; unused lease frames are returned to the parent
-    /// at merge time (see `Machine::absorb_shard_view`).
-    ///
-    /// The view allocates the leased frames in lease order (first leased,
-    /// first allocated) and panics on a `free` of any non-lease frame —
-    /// a shard freeing memory it does not own is a simulator bug.
-    pub fn lease_view(tier: TierKind, capacity: u64, lease: &[FrameId]) -> Self {
-        let capacity = u32::try_from(capacity).expect("tier capacity fits in u32 frames");
-        let mut allocated = vec![false; capacity as usize];
-        // Pop from the end => hand out the lease in its original order.
-        let free: Vec<u32> = lease
-            .iter()
-            .rev()
-            .map(|f| {
-                assert_eq!(f.tier, tier, "leased frame from wrong tier");
-                assert!(f.index < capacity, "leased frame out of range");
-                f.index
-            })
-            .collect();
-        for &i in &free {
-            assert!(!allocated[i as usize], "frame leased twice");
-            allocated[i as usize] = true;
-        }
-        // Leased frames start *free from the view's perspective*; mark
-        // them unallocated so alloc/free bookkeeping stays consistent.
-        for &i in &free {
-            allocated[i as usize] = false;
-        }
-        FrameAllocator {
-            tier,
-            capacity,
-            free,
-            allocated,
-        }
-    }
-
-    /// Allocate up to `n` frames, returning fewer if the tier fills up.
-    pub fn alloc_many(&mut self, n: u64) -> Vec<FrameId> {
-        let n = n.min(self.free_frames());
-        (0..n)
-            .map(|_| self.alloc().expect("reserved above"))
-            .collect()
-    }
-
     /// Return a frame to the free list.
     ///
     /// # Panics
@@ -238,14 +190,6 @@ mod tests {
                 tier: TierKind::Slow
             })
         );
-    }
-
-    #[test]
-    fn alloc_many_truncates() {
-        let mut a = FrameAllocator::new(TierKind::Fast, 3);
-        let got = a.alloc_many(10);
-        assert_eq!(got.len(), 3);
-        assert_eq!(a.free_frames(), 0);
     }
 
     #[test]

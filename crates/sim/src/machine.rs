@@ -94,11 +94,6 @@ impl MachineSpec {
         &TierKind::ALL[..self.tiers.len()]
     }
 
-    /// Whether `kind` is part of this machine's chain.
-    pub fn has_tier(&self, kind: TierKind) -> bool {
-        kind.index() < self.tiers.len()
-    }
-
     /// Spec of one tier; panics if the tier is not in the chain.
     pub fn tier(&self, kind: TierKind) -> &TierSpec {
         self.tiers
@@ -233,11 +228,6 @@ impl Machine {
     /// The frame allocator for one tier.
     pub fn allocator(&self, tier: TierKind) -> &FrameAllocator {
         &self.allocators[tier.index()]
-    }
-
-    /// Mutable access to one tier's allocator.
-    pub fn allocator_mut(&mut self, tier: TierKind) -> &mut FrameAllocator {
-        &mut self.allocators[tier.index()]
     }
 
     /// Allocate a frame in `tier`.
@@ -475,70 +465,6 @@ impl Machine {
     /// Free pages remaining in `tier`.
     pub fn free_pages(&self, tier: TierKind) -> u64 {
         self.allocator(tier).free_frames()
-    }
-
-    /// Build a shard-local view of this machine backed by pre-reserved
-    /// frame leases (one lease slice per chain tier, fastest first):
-    /// same spec, topology, cost model and *cached loaded latencies* (so
-    /// per-access latency inside the shard is identical to the
-    /// sequential schedule), but
-    ///
-    /// - each tier's allocator hands out only the leased frames, and
-    /// - the bandwidth tracker's byte counters start at zero, so the
-    ///   view's end-of-quantum counts are directly the deltas to merge.
-    ///
-    /// Fault injection is never active on a view (the sharded execute
-    /// path is only taken with faults disabled — per-site fault counters
-    /// are schedule-order-sensitive).
-    pub fn shard_view(&self, leases: &[Vec<FrameId>]) -> Machine {
-        debug_assert!(
-            !self.faults.is_enabled(),
-            "shard views require fault injection disabled"
-        );
-        assert_eq!(
-            leases.len(),
-            self.spec.tiers.len(),
-            "one lease per chain tier"
-        );
-        let mut bandwidth = self.bandwidth.clone();
-        bandwidth.reset_bytes();
-        static EMPTY: &[FrameId] = &[];
-        let allocators = TierKind::ALL.map(|kind| {
-            let lease = leases.get(kind.index()).map_or(EMPTY, |l| l.as_slice());
-            let capacity = self
-                .spec
-                .tiers
-                .get(kind.index())
-                .map_or(0, |t| t.capacity_pages);
-            FrameAllocator::lease_view(kind, capacity, lease)
-        });
-        Machine {
-            spec: self.spec.clone(),
-            allocators,
-            bandwidth,
-            topology: self.topology.clone(),
-            loaded_latency: self.loaded_latency,
-            faults: FaultPlan::disabled(),
-            throttle_now: self.throttle_now,
-            last_alloc_injected: false,
-        }
-    }
-
-    /// Merge a finished shard view back: add its bandwidth byte deltas
-    /// to this machine's in-quantum counters and return every unused
-    /// lease frame to the shared allocators. Called in fixed shard order
-    /// so the merged state is independent of shard execution timing.
-    pub fn absorb_shard_view(&mut self, mut view: Machine) {
-        for &tier in self.spec().chain() {
-            let bytes = view.bandwidth.bytes_this_quantum(tier);
-            if bytes > 0 {
-                self.bandwidth.record(tier, bytes);
-            }
-            // Drain the view's remaining lease back to the shared pool.
-            while let Ok(f) = view.alloc_uninjected(tier) {
-                self.free(f);
-            }
-        }
     }
 }
 

@@ -233,11 +233,6 @@ impl AddressSpace {
         }
     }
 
-    /// Whether per-thread replication is enabled.
-    pub fn replication_enabled(&self) -> bool {
-        self.replication
-    }
-
     /// Oracle builds: prove every live walk-cache entry still agrees
     /// with an uncached radix walk — the staleness detector the runtime
     /// runs once per quantum, catching invalidations that should have

@@ -305,25 +305,6 @@ impl Tlb {
         self.huge_lens.fill(0);
     }
 
-    /// A minimal do-nothing stand-in left behind when a core's real TLB
-    /// is leased out to a shard. Never looked up by construction (shards
-    /// only touch their own cores); sized to satisfy the power-of-two
-    /// invariants without allocating way storage.
-    fn placeholder() -> Tlb {
-        Tlb {
-            slots: Vec::new(),
-            lens: vec![0],
-            n_sets: 1,
-            ways: 0,
-            huge_slots: Vec::new(),
-            huge_lens: vec![0; HUGE_SETS],
-            huge_ways: 0,
-            clock: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
     /// Base-page entries currently cached.
     pub fn occupancy(&self) -> usize {
         self.lens.iter().map(|&l| l as usize).sum()
@@ -370,11 +351,6 @@ impl TlbArray {
         &mut self.tlbs[core.0 as usize]
     }
 
-    /// Read-only view of one core's TLB.
-    pub fn core_ref(&self, core: CoreId) -> &Tlb {
-        &self.tlbs[core.0 as usize]
-    }
-
     /// Invalidate `vpn` on every listed core; returns how many cores
     /// actually held the translation.
     pub fn invalidate_on(
@@ -401,20 +377,6 @@ impl TlbArray {
             .into_iter()
             .filter(|&c| self.tlbs[c.0 as usize].invalidate_huge(asid, vpn))
             .count()
-    }
-
-    /// Move the listed cores' TLBs into a new same-sized array, leaving
-    /// cheap placeholders behind. The caller swaps the (updated) TLBs
-    /// back per core when the shard finishes — the same `mem::swap` both
-    /// directions, so no TLB state is ever copied.
-    pub fn lease_cores(&mut self, cores: &[CoreId]) -> TlbArray {
-        let mut out = TlbArray {
-            tlbs: (0..self.tlbs.len()).map(|_| Tlb::placeholder()).collect(),
-        };
-        for &c in cores {
-            std::mem::swap(&mut self.tlbs[c.0 as usize], &mut out.tlbs[c.0 as usize]);
-        }
-        out
     }
 
     /// Number of cores.
