@@ -35,6 +35,7 @@ use vulcan::sim::{FaultConfig, FaultSite};
 use vulcan_json::{Map, Value};
 
 use crate::suite::ExperimentCell;
+use crate::{teardown_audit, SweepReport};
 
 /// Tolerance on the FTHR ≥ GPT comparison: both are per-quantum EMAs
 /// sampled at slightly different points of the control loop, so a small
@@ -210,19 +211,7 @@ fn run_cell(c: &ChaosCell) -> CellOutcome {
 
     // Teardown audit: every workload down, zero frames still allocated
     // on any chain tier.
-    for w in 0..runner.state.workloads.len() {
-        runner.state.teardown(w);
-    }
-    for &tier in runner.state.machine.spec().chain() {
-        let used = runner.state.machine.allocator(tier).used_frames();
-        if used != 0 {
-            violations.push(format!(
-                "{}: {used} frames leaked at teardown on {}",
-                c.cell.label,
-                tier.name()
-            ));
-        }
-    }
+    violations.extend(teardown_audit(&mut runner.state, &c.cell.label).1);
 
     let res = runner.into_result();
 
@@ -278,19 +267,11 @@ fn run_cell(c: &ChaosCell) -> CellOutcome {
     CellOutcome { row, violations }
 }
 
-/// Results of a chaos sweep: artifact rows (declaration order) and every
-/// contract violation observed.
-pub struct ChaosReport {
-    /// One JSON row per grid point (fault cells first, then the rate-0
-    /// control cells).
-    pub rows: Vec<Value>,
-    /// Degradation-contract violations; empty on a passing sweep.
-    pub violations: Vec<String>,
-}
-
-/// Run the full sweep. Pure — printing and exit codes are the binary's
-/// concern (and the tests').
-pub fn run_chaos(opts: &ChaosOpts) -> ChaosReport {
+/// Run the full sweep: one row per grid point (fault cells first, then
+/// the rate-0 control cells) and every degradation-contract violation.
+/// Pure — printing and exit codes are the binary's concern (and the
+/// tests').
+pub fn run_chaos(opts: &ChaosOpts) -> SweepReport {
     let grid = chaos_grid(opts);
     let outcomes: Vec<CellOutcome> = grid.par_iter().map(run_cell).collect();
 
@@ -340,7 +321,7 @@ pub fn run_chaos(opts: &ChaosOpts) -> ChaosReport {
         rows.push(plain.row);
     }
 
-    ChaosReport { rows, violations }
+    SweepReport { rows, violations }
 }
 
 /// Render the sweep as a terminal table (one row per grid point).

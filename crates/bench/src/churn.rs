@@ -32,6 +32,7 @@ use vulcan_churn::{Catalog, ChurnConfig, ChurnEngine, ChurnReport};
 use vulcan_json::{Map, Value};
 
 use crate::suite::ExperimentCell;
+use crate::SweepReport;
 
 /// Base seed for every churn cell (one seed governs runner + engine).
 const CHURN_SEED: u64 = 42;
@@ -213,18 +214,10 @@ fn cell_row(label: &str, rate: f64, report: &ChurnReport) -> Value {
     )
 }
 
-/// Results of a churn sweep: artifact rows (declaration order, controls
-/// last) and every contract violation observed.
-pub struct ChurnSweepReport {
-    /// One JSON row per grid point plus one rate-0 control per policy.
-    pub rows: Vec<Value>,
-    /// Contract violations; empty on a passing sweep.
-    pub violations: Vec<String>,
-}
-
-/// Run the full sweep. Pure — printing and exit codes are the binary's
-/// concern (and the tests').
-pub fn run_churn(opts: &ChurnOpts) -> ChurnSweepReport {
+/// Run the full sweep: one row per grid point in declaration order, then
+/// one rate-0 control per policy, and every contract violation. Pure —
+/// printing and exit codes are the binary's concern (and the tests').
+pub fn run_churn(opts: &ChurnOpts) -> SweepReport {
     let grid = churn_grid(opts);
     let outcomes: Vec<CellOutcome> = grid
         .par_iter()
@@ -283,7 +276,7 @@ pub fn run_churn(opts: &ChurnOpts) -> ChurnSweepReport {
         violations.extend(vs);
     }
 
-    ChurnSweepReport { rows, violations }
+    SweepReport { rows, violations }
 }
 
 /// Render the sweep as a terminal table (one row per grid point).

@@ -1,35 +1,20 @@
 //! # vulcan-bench — the paper's evaluation harness
 //!
-//! One binary per table and figure of the paper (see DESIGN.md §4 for the
-//! full index), plus the `vulcan-bench` driver that can replay any subset
-//! of the simulation grids through one code path (`vulcan-bench suite`):
-//!
-//! | binary   | reproduces |
-//! |----------|------------|
-//! | `fig1`   | hot/cold pages under Memtis, solo vs co-located + the dilemma summary |
-//! | `fig2`   | single base-page migration cost breakdown, 2–32 CPUs |
-//! | `fig3`   | TLB vs copy share across batch sizes and thread counts |
-//! | `fig4`   | sync vs async copying across read/write ratios |
-//! | `fig7`   | speedup of Vulcan's migration-mechanism optimizations |
-//! | `fig8`   | migration bandwidth, 4 systems × 3 WSS scenarios |
-//! | `fig9`   | Vulcan's dynamic allocation / FTHR / GPT timelines |
-//! | `fig10`  | performance + CFI fairness, 4 systems, multi-trial |
-//! | `table1` | the biased-migration priority/strategy matrix |
-//! | `table2` | the workload/RSS inventory |
-//! | `ablation` | component ablations (§3.6 discussion) |
-//! | `thp`    | transparent-huge-page study: TLB reach + split-on-promotion (§3.4/§3.5) |
-//! | `bias_study` | MTM → no-bias → Table 1 policy lineage (§3.5) |
-//!
-//! Every binary prints its rows and writes the underlying series/values
-//! as JSON under `target/experiments/`. Simulation sweeps are declared as
-//! [`suite::Experiment`] grids of independent [`suite::ExperimentCell`]s
-//! and executed on the workspace thread pool (sized by
-//! `--threads`/`RAYON_NUM_THREADS`, see [`init_threads`]); every cell is
+//! `vulcan-bench suite` renders every table and figure of the paper (see
+//! DESIGN.md §4 for the full index, `vulcan-bench suite --list` for the
+//! targets): each [`suite::SUITE`] target prints its rows and writes the
+//! underlying series/values as JSON under `target/experiments/`.
+//! Simulation sweeps are declared as [`suite::Experiment`] grids of
+//! independent [`suite::ExperimentCell`]s and executed on the workspace
+//! thread pool (sized by `--threads`/`RAYON_NUM_THREADS`); every cell is
 //! seeded deterministically, so artifacts are byte-identical regardless
-//! of the thread count.
+//! of the thread count. The `chaos`, `churn`, `tiers` and `tournament`
+//! sweeps check contracts beyond the paper and each return a
+//! [`SweepReport`].
 
 pub mod chaos;
 pub mod churn;
+pub mod figures;
 pub mod suite;
 pub mod tiers;
 pub mod tournament;
@@ -37,6 +22,9 @@ pub mod tournament;
 use std::io;
 use std::path::PathBuf;
 use vulcan::prelude::*;
+use vulcan::runtime::SystemState;
+use vulcan::sim::MAX_TIERS;
+use vulcan_json::Value;
 
 /// Where experiment JSON artifacts are written.
 pub fn experiments_dir() -> io::Result<PathBuf> {
@@ -69,29 +57,42 @@ pub fn save_json_or_exit<T: Clone + Into<vulcan_json::Value>>(name: &str, value:
     }
 }
 
-/// Honor a `--threads N` (or `--threads=N`) argument by sizing the
-/// workspace thread pool; `RAYON_NUM_THREADS` is the environment
-/// fallback and `available_parallelism` the default. Call at the top of
-/// every binary `main`.
-pub fn init_threads() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(n) = parse_threads(&args) {
-        rayon::pool::set_num_threads(n);
-    }
+/// What a contract-checked sweep (chaos, churn, tiers, tournament)
+/// returns: its artifact rows and every contract violation it observed.
+pub struct SweepReport {
+    /// One JSON row per grid point, in the sweep's artifact order.
+    pub rows: Vec<Value>,
+    /// Contract violations; empty on a passing sweep.
+    pub violations: Vec<String>,
 }
 
-/// Extract the value of a `--threads N` / `--threads=N` flag.
-pub fn parse_threads(args: &[String]) -> Option<usize> {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--threads" {
-            return it.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = arg.strip_prefix("--threads=") {
-            return v.parse().ok();
-        }
+/// Tear down every workload of `state` and audit frame conservation.
+/// Returns the frames each tier held just before the teardown (indexed
+/// by [`TierKind::index`], 0 for tiers off the chain) and one violation,
+/// prefixed with `label`, for every chain tier still holding frames
+/// after it.
+pub fn teardown_audit(state: &mut SystemState, label: &str) -> ([u64; MAX_TIERS], Vec<String>) {
+    let chain: Vec<TierKind> = state.machine.spec().chain().to_vec();
+    let mut used = [0u64; MAX_TIERS];
+    for &tier in &chain {
+        used[tier.index()] = state.machine.allocator(tier).used_frames();
     }
-    None
+    for w in 0..state.workloads.len() {
+        state.teardown(w);
+    }
+    let violations = chain
+        .iter()
+        .filter_map(|&tier| {
+            let leaked = state.machine.allocator(tier).used_frames();
+            (leaked != 0).then(|| {
+                format!(
+                    "{label}: {leaked} frames leaked at teardown on {}",
+                    tier.name()
+                )
+            })
+        })
+        .collect();
+    (used, violations)
 }
 
 /// The §5.3 staggered three-application co-location.
@@ -133,14 +134,5 @@ mod tests {
     #[test]
     fn experiments_dir_exists() {
         assert!(experiments_dir().unwrap().is_dir());
-    }
-
-    #[test]
-    fn threads_flag_parses_both_forms() {
-        let args = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_threads(&args(&["--threads", "4"])), Some(4));
-        assert_eq!(parse_threads(&args(&["--threads=2"])), Some(2));
-        assert_eq!(parse_threads(&args(&["--quick"])), None);
-        assert_eq!(parse_threads(&args(&["--threads"])), None);
     }
 }

@@ -1,27 +1,29 @@
-//! `vulcan-bench` — drive the evaluation's simulation grids through one
-//! code path.
+//! `vulcan-bench` — render the evaluation's figures and tables and run
+//! its contract-checked sweeps.
 //!
 //! ```text
-//! vulcan-bench suite                      run every simulation grid
-//! vulcan-bench suite fig10 ablation       run a subset
+//! vulcan-bench suite                      render every figure and table
+//! vulcan-bench suite fig10 ablation       render a subset
 //! vulcan-bench suite --quick --threads 2  CI-scale run on two threads
 //! vulcan-bench suite --list               index of all 14 targets
 //! ```
 //!
-//! The figure binaries (`fig10`, `ablation`, …) render full tables and
-//! figure artifacts; this driver replays their grids (same cells, same
-//! seeds) and writes a per-cell summary to
-//! `target/experiments/suite.json`. Wall-clock timings are deliberately
-//! excluded from the artifact so it is deterministic across machines and
-//! thread counts.
+//! `suite` prints each target's table and note and writes its artifact
+//! to `target/experiments/<target>.json`, then writes a per-cell summary
+//! of every simulated grid to `target/experiments/suite.json`.
+//! Wall-clock timings are deliberately excluded from the artifacts so
+//! they are deterministic across machines and thread counts.
 
+use vulcan::prelude::Table;
 use vulcan_bench::suite::{SuiteOpts, SUITE};
+use vulcan_bench::SweepReport;
+use vulcan_json::{Map, Value};
 
 const USAGE: &str = "\
 vulcan-bench — evaluation suite driver (Vulcan reproduction)
 
 USAGE:
-    vulcan-bench suite [TARGETS...] [OPTIONS]   run simulation grids
+    vulcan-bench suite [TARGETS...] [OPTIONS]   render figures and tables
     vulcan-bench chaos [OPTIONS]                fault-injection sweep: every
                                                 fault site × rates × the four
                                                 policies, asserting the
@@ -86,8 +88,10 @@ shapes (the buffer-pool family under THP plus a latency-critical front
 end), and exits non-zero if any cell leaks a frame on any chain tier at
 teardown. Results land in target/experiments/tiers.json.
 
-Targets default to every simulation grid; analytic targets (fig2, fig3,
-fig7, table1, table2) have no grid and are skipped with a note.
+Targets default to all 14. Each prints its table and writes
+target/experiments/<target>.json; the simulated cells are summarized in
+target/experiments/suite.json. The analytic targets (fig2, fig3, fig7,
+table1, table2) have no grid and render from the cost model or the code.
 
 The oracle subcommand replays the same grids with every optimized hot-path
 structure (heat map, walk caches, Zipf sampler, loaded-latency cache)
@@ -178,7 +182,7 @@ fn cmd_suite(args: &[String]) {
     };
     let selected = selected_entries(&names);
 
-    let mut table = vulcan::metrics::Table::new(
+    let mut table = Table::new(
         format!(
             "suite: per-cell results ({} threads)",
             rayon::pool::current_num_threads()
@@ -187,32 +191,29 @@ fn cmd_suite(args: &[String]) {
     );
     let mut rows = Vec::new();
     for entry in selected {
-        let Some(build) = entry.build else {
-            eprintln!(
-                "[suite] {}: analytic target, no simulation grid (run its binary)",
-                entry.name
-            );
-            continue;
-        };
-        let exp = build(&opts);
-        let results = exp.run();
-        for (cell, res) in exp.cells.iter().zip(&results) {
+        let fig = (entry.render)(&opts);
+        fig.table.print();
+        if !fig.note.is_empty() {
+            println!("{}", fig.note);
+        }
+        vulcan_bench::save_json_or_exit(entry.name, &fig.artifact);
+        for cell in fig.cells {
             table.row(&[
-                exp.name.clone(),
+                entry.name.to_string(),
                 cell.label.clone(),
-                res.policy.clone(),
+                cell.policy.clone(),
                 cell.seed.to_string(),
                 cell.quanta.to_string(),
-                format!("{:.3}", res.cfi),
+                format!("{:.3}", cell.cfi),
             ]);
-            rows.push(vulcan_json::Value::Object(
-                vulcan_json::Map::new()
-                    .with("experiment", exp.name.as_str())
-                    .with("cell", cell.label.as_str())
-                    .with("policy", res.policy.as_str())
+            rows.push(Value::Object(
+                Map::new()
+                    .with("experiment", entry.name)
+                    .with("cell", cell.label)
+                    .with("policy", cell.policy)
                     .with("seed", cell.seed)
                     .with("quanta", cell.quanta)
-                    .with("cfi", res.cfi),
+                    .with("cfi", cell.cfi),
             ));
         }
     }
@@ -220,116 +221,101 @@ fn cmd_suite(args: &[String]) {
     vulcan_bench::save_json_or_exit("suite", &rows);
 }
 
-fn cmd_chaos(args: &[String]) {
+/// The body every contract-checked sweep shares. `run` runs the sweep at
+/// full or `--quick` scale and returns its table, the line printed when
+/// it passes, and its report. A violation of `contract` exits 1 before
+/// the artifact is written.
+fn cmd_sweep(
+    name: &str,
+    contract: &str,
+    args: &[String],
+    run: impl FnOnce(bool) -> (Table, String, SweepReport),
+) {
     let GridArgs { quick, list, names } = parse_grid_args(args);
     if list || !names.is_empty() {
-        usage_error("chaos takes no targets (it runs one fixed grid)");
+        usage_error(&format!("{name} takes no targets (it runs one fixed grid)"));
     }
-    let opts = if quick {
-        vulcan_bench::chaos::ChaosOpts::quick()
-    } else {
-        vulcan_bench::chaos::ChaosOpts::full()
-    };
-    let report = vulcan_bench::chaos::run_chaos(&opts);
-    vulcan_bench::chaos::chaos_table(&report.rows).print();
+    let (table, passed, report) = run(quick);
+    table.print();
     if !report.violations.is_empty() {
         for v in &report.violations {
-            eprintln!("chaos: VIOLATION: {v}");
+            eprintln!("{name}: VIOLATION: {v}");
         }
         eprintln!(
-            "chaos: {} degradation-contract violation(s)",
+            "{name}: {} {contract} violation(s)",
             report.violations.len()
         );
         std::process::exit(1);
     }
-    println!(
-        "chaos: {} cells, zero panics, frames conserved, rate-0 identical",
-        report.rows.len()
-    );
-    vulcan_bench::save_json_or_exit("chaos", &report.rows);
+    println!("{passed}");
+    vulcan_bench::save_json_or_exit(name, &report.rows);
+}
+
+fn cmd_chaos(args: &[String]) {
+    use vulcan_bench::chaos::{chaos_table, run_chaos, ChaosOpts};
+    cmd_sweep("chaos", "degradation-contract", args, |quick| {
+        let report = run_chaos(&if quick {
+            ChaosOpts::quick()
+        } else {
+            ChaosOpts::full()
+        });
+        let passed = format!(
+            "chaos: {} cells, zero panics, frames conserved, rate-0 identical",
+            report.rows.len()
+        );
+        (chaos_table(&report.rows), passed, report)
+    });
 }
 
 fn cmd_churn(args: &[String]) {
-    let GridArgs { quick, list, names } = parse_grid_args(args);
-    if list || !names.is_empty() {
-        usage_error("churn takes no targets (it runs one fixed grid)");
-    }
-    let opts = if quick {
-        vulcan_bench::churn::ChurnOpts::quick()
-    } else {
-        vulcan_bench::churn::ChurnOpts::full()
-    };
-    let report = vulcan_bench::churn::run_churn(&opts);
-    vulcan_bench::churn::churn_table(&report.rows).print();
-    if !report.violations.is_empty() {
-        for v in &report.violations {
-            eprintln!("churn: VIOLATION: {v}");
-        }
-        eprintln!("churn: {} contract violation(s)", report.violations.len());
-        std::process::exit(1);
-    }
-    println!(
-        "churn: {} cells, zero panics, frames conserved, rate-0 identical to static",
-        report.rows.len()
-    );
-    vulcan_bench::save_json_or_exit("churn", &report.rows);
+    use vulcan_bench::churn::{churn_table, run_churn, ChurnOpts};
+    cmd_sweep("churn", "contract", args, |quick| {
+        let report = run_churn(&if quick {
+            ChurnOpts::quick()
+        } else {
+            ChurnOpts::full()
+        });
+        let passed = format!(
+            "churn: {} cells, zero panics, frames conserved, rate-0 identical to static",
+            report.rows.len()
+        );
+        (churn_table(&report.rows), passed, report)
+    });
 }
 
 fn cmd_tiers(args: &[String]) {
-    let GridArgs { quick, list, names } = parse_grid_args(args);
-    if list || !names.is_empty() {
-        usage_error("tiers takes no targets (it runs one fixed grid)");
-    }
-    let opts = if quick {
-        vulcan_bench::tiers::TiersOpts::quick()
-    } else {
-        vulcan_bench::tiers::TiersOpts::full()
-    };
-    let report = vulcan_bench::tiers::run_tiers(&opts);
-    vulcan_bench::tiers::tiers_table(&report.rows).print();
-    if !report.violations.is_empty() {
-        for v in &report.violations {
-            eprintln!("tiers: VIOLATION: {v}");
-        }
-        eprintln!("tiers: {} contract violation(s)", report.violations.len());
-        std::process::exit(1);
-    }
-    println!(
-        "tiers: {} cells, zero panics, frames conserved on every chain tier",
-        report.rows.len()
-    );
-    vulcan_bench::save_json_or_exit("tiers", &report.rows);
+    use vulcan_bench::tiers::{run_tiers, tiers_table, TiersOpts};
+    cmd_sweep("tiers", "contract", args, |quick| {
+        let report = run_tiers(&if quick {
+            TiersOpts::quick()
+        } else {
+            TiersOpts::full()
+        });
+        let passed = format!(
+            "tiers: {} cells, zero panics, frames conserved on every chain tier",
+            report.rows.len()
+        );
+        (tiers_table(&report.rows), passed, report)
+    });
 }
 
 fn cmd_tournament(args: &[String]) {
-    let GridArgs { quick, list, names } = parse_grid_args(args);
-    if list || !names.is_empty() {
-        usage_error("tournament takes no targets (it runs one fixed grid)");
-    }
-    let opts = if quick {
-        vulcan_bench::tournament::TournamentOpts::quick()
-    } else {
-        vulcan_bench::tournament::TournamentOpts::full()
-    };
-    let report = vulcan_bench::tournament::run_tournament(&opts);
-    vulcan_bench::tournament::tournament_table(&report.rows).print();
-    if !report.violations.is_empty() {
-        for v in &report.violations {
-            eprintln!("tournament: VIOLATION: {v}");
-        }
-        eprintln!(
-            "tournament: {} contract violation(s)",
-            report.violations.len()
+    use vulcan_bench::tournament::{run_tournament, tournament_table, TournamentOpts};
+    cmd_sweep("tournament", "contract", args, |quick| {
+        let opts = if quick {
+            TournamentOpts::quick()
+        } else {
+            TournamentOpts::full()
+        };
+        let report = run_tournament(&opts);
+        let passed = format!(
+            "tournament: {} forks from one checkpoint at quantum {}, zero \
+             frame-conservation violations",
+            report.rows.len(),
+            opts.fork_at
         );
-        std::process::exit(1);
-    }
-    println!(
-        "tournament: {} forks from one checkpoint at quantum {}, zero \
-         frame-conservation violations",
-        report.rows.len(),
-        opts.fork_at
-    );
-    vulcan_bench::save_json_or_exit("tournament", &report.rows);
+        (tournament_table(&report.rows), passed, report)
+    });
 }
 
 /// Lockstep differential run: replay the suite grids with the reference

@@ -15,19 +15,19 @@
 //! under every policy), and the historical per-figure seeds are
 //! preserved exactly (figure 10 has always run seeds `0..n_trials`).
 //!
-//! The figure binaries and the `vulcan-bench suite` driver share the
-//! same grid builders ([`fig10_grid`], [`ablation_grid`], …) declared in
-//! [`SUITE`]; the driver can replay any subset of them through one code
-//! path, scaled down with [`SuiteOpts::quick`] for CI.
+//! [`SUITE`] lists every figure and table of the evaluation. Each entry
+//! names its grid builder, if it simulates, and its renderer (both in
+//! [`crate::figures`]); `vulcan-bench suite` renders any subset of them
+//! through one code path, scaled down with [`SuiteOpts::quick`] for CI.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use rayon::prelude::*;
-use vulcan::core::{VulcanConfig, VulcanPolicy};
-use vulcan::migrate::{MechanismConfig, PrepStrategy};
 use vulcan::prelude::*;
-use vulcan::runtime::SystemState;
+use vulcan_json::Value;
+
+use crate::figures;
 
 /// Builds a fresh policy instance for one cell.
 pub type PolicyFactory = Arc<dyn Fn() -> Box<dyn TieringPolicy> + Send + Sync>;
@@ -162,8 +162,9 @@ impl ExperimentCell {
             .build()
     }
 
-    /// A runner configured for `n_quanta: 0`, for binaries that step
-    /// quanta manually (the THP study inspects TLB state mid-run).
+    /// A runner configured for `n_quanta: 0`, for drivers that step
+    /// quanta themselves (the THP study reads TLB state before taking
+    /// the result; the sweeps audit teardown).
     pub fn paused_runner(&self) -> SimRunner {
         self.build(0)
     }
@@ -200,23 +201,45 @@ impl Experiment {
     /// on stderr. Results come back in declaration order regardless of
     /// which thread finished which cell first.
     pub fn run(&self) -> Vec<RunResult> {
+        self.run_cells(ExperimentCell::run)
+    }
+
+    /// [`run`](Self::run) with a custom driver per cell, for targets that
+    /// read runner state before taking the result (the THP study).
+    pub fn run_cells<T: Send>(&self, drive: impl Fn(&ExperimentCell) -> T + Sync) -> Vec<T> {
         let total = self.cells.len();
         let done = AtomicUsize::new(0);
         let name = self.name.as_str();
         self.cells
             .par_iter()
             .map(|cell| {
-                let res = cell.run();
+                let out = drive(cell);
                 let k = done.fetch_add(1, Ordering::Relaxed) + 1;
                 eprintln!("[{name}] {k}/{total} {}", cell.label);
-                res
+                out
+            })
+            .collect()
+    }
+
+    /// The `suite.json` rows of `results`, this grid's results in
+    /// declaration order.
+    pub fn cell_rows(&self, results: &[RunResult]) -> Vec<CellRow> {
+        self.cells
+            .iter()
+            .zip(results)
+            .map(|(cell, res)| CellRow {
+                label: cell.label.clone(),
+                policy: res.policy.clone(),
+                seed: cell.seed,
+                quanta: cell.quanta,
+                cfi: res.cfi,
             })
             .collect()
     }
 }
 
-/// Scaling knobs shared by the figure binaries (full fidelity) and the
-/// `vulcan-bench suite` driver (`--quick` for CI).
+/// The scale a grid is built and rendered at: full fidelity, or
+/// `--quick` for CI.
 #[derive(Clone, Copy, Debug)]
 pub struct SuiteOpts {
     /// Trials per sweep point.
@@ -226,9 +249,8 @@ pub struct SuiteOpts {
 }
 
 impl SuiteOpts {
-    /// Paper-fidelity grids: `VULCAN_TRIALS` trials, full durations.
-    /// The figure binaries always use this, so their artifacts match the
-    /// historical output byte for byte.
+    /// Paper-fidelity grids: `VULCAN_TRIALS` trials, full durations, so
+    /// the artifacts match the historical output byte for byte.
     pub fn full() -> Self {
         SuiteOpts {
             trials: crate::trials(),
@@ -244,7 +266,7 @@ impl SuiteOpts {
         }
     }
 
-    fn quanta(&self, full: u64) -> u64 {
+    pub(crate) fn quanta(&self, full: u64) -> u64 {
         match self.quanta_cap {
             Some(cap) => full.min(cap),
             None => full,
@@ -252,457 +274,124 @@ impl SuiteOpts {
     }
 }
 
-/// Figure 1: Memtis on Memcached/Liblinear, solo and co-located.
-pub fn fig1_grid(o: &SuiteOpts) -> Experiment {
-    let mut exp = Experiment::new("fig1");
-    let quanta = o.quanta(60);
-    for (label, specs) in [
-        ("solo_mc", vec![memcached()]),
-        ("solo_lib", vec![liblinear()]),
-        ("co", vec![memcached(), liblinear()]),
-    ] {
-        let mut cell = ExperimentCell::new(PolicyKind::Memtis, specs, quanta, 1);
-        cell.label = label.into();
-        exp.push(cell);
-    }
-    exp
+/// One `suite.json` row: a simulated cell and the CFI it reached.
+pub struct CellRow {
+    /// The cell's label within its grid.
+    pub label: String,
+    /// The policy that ran it.
+    pub policy: String,
+    /// The cell's seed.
+    pub seed: u64,
+    /// Quanta simulated.
+    pub quanta: u64,
+    /// The run's cumulative fairness index.
+    pub cfi: f64,
 }
 
-/// Figure 4's read-ratio sweep points.
-pub const FIG4_RATIOS: [f64; 6] = [0.0, 0.25, 0.5, 0.75, 0.9, 1.0];
-
-/// Figure 4's promotion policy: promote every sufficiently hot slow
-/// page through one copy engine or the other.
-pub struct Promoter {
-    /// `true` = synchronous copies (stall, always land); `false` =
-    /// asynchronous transactional copies (no stalls, dirty aborts).
-    pub sync: bool,
+/// A target rendered at one scale: what `vulcan-bench suite` prints and
+/// saves for it.
+pub struct Figure {
+    /// One row per simulated cell, in grid order (none for analytic
+    /// targets).
+    pub cells: Vec<CellRow>,
+    /// The paper table.
+    pub table: Table,
+    /// Text printed under the table (empty for none).
+    pub note: String,
+    /// The artifact saved as `target/experiments/<target>.json`.
+    pub artifact: Value,
 }
 
-impl TieringPolicy for Promoter {
-    fn name(&self) -> &'static str {
-        if self.sync {
-            "sync"
-        } else {
-            "async"
-        }
-    }
-
-    fn on_quantum(&mut self, state: &mut SystemState) {
-        let mech = MechanismConfig::linux_baseline();
-        for w in 0..state.n_workloads() {
-            state.poll_async(w, &mech);
-            // Watermark demotion keeps room for the drifting hot set
-            // (off the critical path for both variants).
-            if state.fast_free() < 128 {
-                let victims: Vec<Vpn> = {
-                    let ws = &state.workloads[w];
-                    let mut cold: Vec<(Vpn, f64)> = ws
-                        .process
-                        .space
-                        .mapped_vpns()
-                        .filter(|&v| ws.process.space.pte(v).tier() == Some(TierKind::Fast))
-                        .map(|v| (v, ws.heat().get(v).heat))
-                        .collect();
-                    cold.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-                    cold.into_iter().take(256).map(|(v, _)| v).collect()
-                };
-                state.migrate_background(w, &victims, TierKind::Slow, &mech);
-            }
-            let hot: Vec<Vpn> = {
-                let ws = &state.workloads[w];
-                let mut hot: Vec<(Vpn, f64)> = ws
-                    .heat()
-                    .iter()
-                    .filter(|(vpn, s)| {
-                        s.heat >= 1.0
-                            && ws.process.space.pte(*vpn).tier() == Some(TierKind::Slow)
-                            && !ws.async_migrator.is_inflight(*vpn)
-                    })
-                    .map(|(v, s)| (v, s.heat))
-                    .collect();
-                // The heat map iterates in hash order; the copy engines
-                // are order-sensitive (capacity, dirty aborts), so pick
-                // a deterministic order: hottest first, VPN tie-break.
-                hot.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-                hot.into_iter().map(|(v, _)| v).collect()
-            };
-            if hot.is_empty() {
-                continue;
-            }
-            if self.sync {
-                state.migrate_sync(w, &hot, TierKind::Fast, &mech);
-            } else {
-                state.migrate_async(w, &hot, TierKind::Fast);
-            }
-        }
-    }
-}
-
-/// Figure 4: sync vs async promotion across read ratios. Cell order is
-/// ratio-major, then trial, then `[sync, async]`.
-pub fn fig4_grid(o: &SuiteOpts) -> Experiment {
-    let mut exp = Experiment::new("fig4");
-    let quanta = o.quanta(20);
-    for &ratio in &FIG4_RATIOS {
-        for trial in 0..o.trials {
-            let seed = cell_seed(0, trial);
-            for sync in [true, false] {
-                let spec = microbench(
-                    "mb",
-                    MicroConfig {
-                        rss_pages: 2_048,
-                        wss_pages: 64,
-                        read_ratio: ratio,
-                        skew: 1.35,   // heavy head: a few pages carry most of the load
-                        wss_drift: 1, // the hot set keeps moving: sustained promotion
-                        ..Default::default()
-                    },
-                    2,
-                )
-                .preallocated(TierKind::Slow);
-                let engine = if sync { "sync" } else { "async" };
-                exp.push(
-                    ExperimentCell::custom(
-                        format!("r{ratio:.2}/{engine}/s{seed}"),
-                        Arc::new(move || Box::new(Promoter { sync })),
-                        Arc::new(|_| PebsProfiler::new(4).into()),
-                        vec![spec],
-                        quanta,
-                        seed,
-                    )
-                    .on_machine(MachineSpec::small(1024, 4096, 32))
-                    .with_quantum_active(Nanos::millis(1)),
-                );
-            }
-        }
-    }
-    exp
-}
-
-/// Figure 8: the four systems across WSS scenarios. Cell order is
-/// scenario-major, then policy, then trial.
-pub fn fig8_grid(o: &SuiteOpts) -> Experiment {
-    let mut exp = Experiment::new("fig8");
-    let quanta = o.quanta(40);
-    for scenario in WssScenario::ALL {
-        for kind in PolicyKind::PAPER {
-            for trial in 0..o.trials {
-                let seed = cell_seed(0, trial);
-                let spec = microbench("mb", MicroConfig::fig8_scenario(scenario), 8)
-                    .preallocated(TierKind::Slow);
-                let mut cell = ExperimentCell::new(kind, vec![spec], quanta, seed);
-                cell.label = format!("{}/{kind}/s{seed}", scenario.label());
-                exp.push(cell);
-            }
-        }
-    }
-    exp
-}
-
-/// Figure 9: a single Vulcan run of the §5.3 co-location.
-pub fn fig9_grid(o: &SuiteOpts) -> Experiment {
-    let mut exp = Experiment::new("fig9");
-    exp.push(ExperimentCell::new(
-        PolicyKind::Vulcan,
-        crate::colocation_specs(),
-        o.quanta(200),
-        1,
-    ));
-    exp
-}
-
-/// Figure 10: the four systems × trials on the §5.3 co-location. Cell
-/// order is policy-major, then trial; seeds are `0..trials`.
-pub fn fig10_grid(o: &SuiteOpts) -> Experiment {
-    let mut exp = Experiment::new("fig10");
-    let quanta = o.quanta(200);
-    for kind in PolicyKind::PAPER {
-        for trial in 0..o.trials {
-            exp.push(ExperimentCell::new(
-                kind,
-                crate::colocation_specs(),
-                quanta,
-                cell_seed(0, trial),
-            ));
-        }
-    }
-    exp
-}
-
-/// Extended comparison: all seven registered systems, one run each.
-pub fn extended_grid(o: &SuiteOpts) -> Experiment {
-    let mut exp = Experiment::new("extended_compare");
-    let quanta = o.quanta(200);
-    for kind in PolicyKind::ALL {
-        exp.push(ExperimentCell::new(
-            kind,
-            crate::colocation_specs(),
-            quanta,
-            42,
-        ));
-    }
-    exp
-}
-
-fn ablation_variants() -> Vec<(&'static str, VulcanConfig, bool)> {
-    let base = VulcanConfig::default();
-    vec![
-        ("full", base.clone(), true),
-        (
-            "no-cbfrp",
-            VulcanConfig {
-                cbfrp: false,
-                ..base.clone()
-            },
-            true,
-        ),
-        (
-            "no-bias",
-            VulcanConfig {
-                biased_queues: false,
-                ..base.clone()
-            },
-            true,
-        ),
-        (
-            "no-replication",
-            VulcanConfig {
-                mechanism: MechanismConfig {
-                    scope: ShootdownScope::ProcessWide,
-                    ..MechanismConfig::vulcan()
-                },
-                ..base.clone()
-            },
-            false,
-        ),
-        (
-            "no-shadowing",
-            VulcanConfig {
-                mechanism: MechanismConfig {
-                    shadowing: false,
-                    ..MechanismConfig::vulcan()
-                },
-                ..base.clone()
-            },
-            true,
-        ),
-        (
-            "linux-mechanism",
-            VulcanConfig {
-                mechanism: MechanismConfig {
-                    prep: PrepStrategy::BaselineGlobal,
-                    scope: ShootdownScope::ProcessWide,
-                    shadowing: false,
-                    ..MechanismConfig::vulcan()
-                },
-                ..base
-            },
-            false,
-        ),
-    ]
-}
-
-/// Component ablation: Vulcan with one innovation disabled at a time.
-pub fn ablation_grid(o: &SuiteOpts) -> Experiment {
-    let mut exp = Experiment::new("ablation");
-    let quanta = o.quanta(200);
-    for (name, cfg, replication) in ablation_variants() {
-        exp.push(
-            ExperimentCell::custom(
-                name,
-                Arc::new(move || Box::new(VulcanPolicy::with_config(cfg.clone()))),
-                Arc::new(|_| HybridProfiler::vulcan_default().into()),
-                crate::colocation_specs(),
-                quanta,
-                42,
-            )
-            .with_replication(replication),
-        );
-    }
-    exp
-}
-
-/// The bias study's workloads, in grid order.
-pub const BIAS_WORKLOADS: [&str; 2] = ["pagerank", "write-heavy"];
-
-/// The bias study's policy lineage, in grid order.
-pub const BIAS_VARIANTS: [&str; 3] = [
-    "mtm (r/w split only)",
-    "vulcan no-bias (all async)",
-    "vulcan (table 1)",
-];
-
-fn bias_workload(which: &str) -> WorkloadSpec {
-    match which {
-        "pagerank" => pagerank(),
-        // Write-heavy drifting hot set: the worst case for async-only
-        // promotion (every transaction lands in the dirty window).
-        "write-heavy" => microbench(
-            "write-heavy",
-            MicroConfig {
-                rss_pages: 8_192,
-                wss_pages: 128,
-                read_ratio: 0.1,
-                skew: 1.2,
-                wss_drift: 1,
-                ..Default::default()
-            },
-            8,
-        )
-        .preallocated(TierKind::Slow),
-        _ => unreachable!(),
-    }
-}
-
-fn bias_policy(variant: &str) -> Box<dyn TieringPolicy> {
-    match variant {
-        "mtm (r/w split only)" => Box::new(Mtm::new()),
-        "vulcan no-bias (all async)" => Box::new(VulcanPolicy::with_config(VulcanConfig {
-            biased_queues: false,
-            ..Default::default()
-        })),
-        "vulcan (table 1)" => Box::new(VulcanPolicy::new()),
-        _ => unreachable!(),
-    }
-}
-
-/// Biased-policy lineage (§3.5): MTM → no-bias → Table 1, on two
-/// workloads with different sharing structure. Cell order is
-/// workload-major, variant-minor.
-pub fn bias_grid(o: &SuiteOpts) -> Experiment {
-    let mut exp = Experiment::new("bias_study");
-    let quanta = o.quanta(40);
-    for which in BIAS_WORKLOADS {
-        for variant in BIAS_VARIANTS {
-            // Isolate the *policy*: same PEBS profiler for every variant.
-            exp.push(
-                ExperimentCell::custom(
-                    format!("{which}/{variant}"),
-                    Arc::new(move || bias_policy(variant)),
-                    Arc::new(|_| PebsProfiler::new(16).into()),
-                    vec![bias_workload(which)],
-                    quanta,
-                    42,
-                )
-                .on_machine(MachineSpec::small(4_096, 32_768, 16))
-                .with_replication(variant != BIAS_VARIANTS[0]),
-            );
-        }
-    }
-    exp
-}
-
-/// The THP study's working-set sizes (2 MiB regions), in grid order.
-pub const THP_WSS_REGIONS: [u64; 3] = [4, 8, 16];
-
-/// THP study: TLB reach and split-on-promotion under the Vulcan policy.
-/// Cell order is WSS-major, then `[4 KiB, THP]`.
-pub fn thp_grid(o: &SuiteOpts) -> Experiment {
-    use vulcan::sim::HUGE_PAGE_PAGES;
-    let mut exp = Experiment::new("thp");
-    let quanta = o.quanta(15);
-    for wss_regions in THP_WSS_REGIONS {
-        for thp in [false, true] {
-            let spec = {
-                let s = microbench(
-                    "mb",
-                    MicroConfig {
-                        rss_pages: 16 * HUGE_PAGE_PAGES as u64,
-                        wss_pages: wss_regions * HUGE_PAGE_PAGES as u64,
-                        skew: 0.6,
-                        ..Default::default()
-                    },
-                    8,
-                );
-                if thp {
-                    s.with_thp()
-                } else {
-                    s
-                }
-            };
-            let mut cell = ExperimentCell::new(PolicyKind::Vulcan, vec![spec], quanta, 1);
-            cell.label = format!("wss{wss_regions}/{}", if thp { "thp" } else { "base" });
-            exp.push(cell);
-        }
-    }
-    exp
-}
-
-/// One target the `vulcan-bench suite` driver can run.
+/// One figure or table of the evaluation.
 pub struct SuiteEntry {
-    /// Target name (matches the figure binary).
+    /// Target name, also the artifact's file stem.
     pub name: &'static str,
     /// Grid builder; `None` marks an analytic target with no simulation
-    /// grid (its binary derives the figure from the cost model alone).
+    /// grid (it derives its figure from the cost model or the code).
     pub build: Option<fn(&SuiteOpts) -> Experiment>,
+    /// Run the target at a scale and render it; a simulation target runs
+    /// `build`'s grid exactly once.
+    pub render: fn(&SuiteOpts) -> Figure,
 }
 
-/// Every figure/table target, in paper order. Simulation targets carry
-/// their grid builder; analytic ones are listed so `suite --list` is a
-/// complete index.
+/// Every figure/table target, in paper order.
 pub const SUITE: [SuiteEntry; 14] = [
     SuiteEntry {
         name: "fig1",
-        build: Some(fig1_grid),
+        build: Some(figures::fig1_grid),
+        render: figures::fig1,
     },
     SuiteEntry {
         name: "fig2",
         build: None,
+        render: figures::fig2,
     },
     SuiteEntry {
         name: "fig3",
         build: None,
+        render: figures::fig3,
     },
     SuiteEntry {
         name: "fig4",
-        build: Some(fig4_grid),
+        build: Some(figures::fig4_grid),
+        render: figures::fig4,
     },
     SuiteEntry {
         name: "fig7",
         build: None,
+        render: figures::fig7,
     },
     SuiteEntry {
         name: "fig8",
-        build: Some(fig8_grid),
+        build: Some(figures::fig8_grid),
+        render: figures::fig8,
     },
     SuiteEntry {
         name: "fig9",
-        build: Some(fig9_grid),
+        build: Some(figures::fig9_grid),
+        render: figures::fig9,
     },
     SuiteEntry {
         name: "fig10",
-        build: Some(fig10_grid),
+        build: Some(figures::fig10_grid),
+        render: figures::fig10,
     },
     SuiteEntry {
         name: "table1",
         build: None,
+        render: figures::table1,
     },
     SuiteEntry {
         name: "table2",
         build: None,
+        render: figures::table2,
     },
     SuiteEntry {
         name: "ablation",
-        build: Some(ablation_grid),
+        build: Some(figures::ablation_grid),
+        render: figures::ablation,
     },
     SuiteEntry {
         name: "bias_study",
-        build: Some(bias_grid),
+        build: Some(figures::bias_grid),
+        render: figures::bias_study,
     },
     SuiteEntry {
         name: "thp",
-        build: Some(thp_grid),
+        build: Some(figures::thp_grid),
+        render: figures::thp,
     },
     SuiteEntry {
         name: "extended_compare",
-        build: Some(extended_grid),
+        build: Some(figures::extended_grid),
+        render: figures::extended_compare,
     },
 ];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::fig10_grid;
 
     #[test]
     fn cell_seed_is_identity_offset() {
@@ -752,13 +441,30 @@ mod tests {
         assert_eq!(SUITE.len(), 14);
         let sim = SUITE.iter().filter(|e| e.build.is_some()).count();
         assert_eq!(sim, 9);
-        // Each registered sim target builds a non-empty quick grid.
+        // Every target renders at a scale no preset uses. Two trials
+        // exercise the per-point aggregation, and a renderer that took
+        // the grid's shape from anywhere but these opts indexes out of
+        // range; two quanta end before pagerank and liblinear arrive, so
+        // renderers must read a missing series as empty.
+        let opts = SuiteOpts {
+            trials: 2,
+            quanta_cap: Some(2),
+        };
         for entry in SUITE.iter() {
-            if let Some(build) = entry.build {
-                let exp = build(&SuiteOpts::quick());
+            let fig = (entry.render)(&opts);
+            let cells = entry.build.map_or(0, |build| {
+                let exp = build(&opts);
                 assert!(!exp.cells.is_empty(), "{} grid is empty", entry.name);
                 assert_eq!(exp.name, entry.name);
-            }
+                exp.cells.len()
+            });
+            assert_eq!(fig.cells.len(), cells, "{}: one row per cell", entry.name);
+            let rendered = match &fig.artifact {
+                Value::Array(items) => !items.is_empty(),
+                Value::Object(map) => !map.is_empty(),
+                _ => false,
+            };
+            assert!(rendered, "{}: empty artifact", entry.name);
         }
     }
 

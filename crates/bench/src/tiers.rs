@@ -24,6 +24,7 @@ use vulcan::prelude::*;
 use vulcan_json::{Map, Value};
 
 use crate::suite::ExperimentCell;
+use crate::{teardown_audit, SweepReport};
 
 /// Base seed shared by every tiers cell.
 const TIERS_SEED: u64 = 9;
@@ -158,41 +159,15 @@ struct CellOutcome {
 /// Step one cell to completion, snapshot per-tier residency, audit
 /// teardown on every chain tier, and summarize.
 fn run_cell(c: &TiersCell) -> CellOutcome {
-    let mut violations = Vec::new();
     let mut runner = c.cell.paused_runner();
     for _ in 0..c.cell.quanta {
         runner.run_quantum();
     }
 
-    // Pre-teardown residency per chain tier: the proof the shape's
-    // lower chain actually held pages (MAX_TIERS-wide, absent tiers 0).
-    let chain: Vec<TierKind> = runner.state.machine.spec().chain().to_vec();
-    let used: Vec<u64> = TierKind::ALL
-        .iter()
-        .map(|&t| {
-            if chain.contains(&t) {
-                runner.state.machine.allocator(t).used_frames()
-            } else {
-                0
-            }
-        })
-        .collect();
-
-    // Teardown audit: every workload down, zero frames still allocated
-    // on any chain tier.
-    for w in 0..runner.state.workloads.len() {
-        runner.state.teardown(w);
-    }
-    for &tier in &chain {
-        let leaked = runner.state.machine.allocator(tier).used_frames();
-        if leaked != 0 {
-            violations.push(format!(
-                "{}: {leaked} frames leaked at teardown on {}",
-                c.cell.label,
-                tier.name()
-            ));
-        }
-    }
+    // Pre-teardown residency per chain tier is the proof the shape's
+    // lower chain actually held pages; after teardown, zero frames may
+    // still be allocated on any chain tier.
+    let (used, violations) = teardown_audit(&mut runner.state, &c.cell.label);
 
     let res = runner.into_result();
     let fthrs: Vec<f64> = res.per_workload.iter().map(|w| w.mean_fthr).collect();
@@ -226,18 +201,10 @@ fn run_cell(c: &TiersCell) -> CellOutcome {
     CellOutcome { row, violations }
 }
 
-/// Results of a tiers sweep: artifact rows (declaration order) and
-/// every contract violation observed.
-pub struct TiersReport {
-    /// One JSON row per grid point.
-    pub rows: Vec<Value>,
-    /// Frame-conservation violations; empty on a passing sweep.
-    pub violations: Vec<String>,
-}
-
-/// Run the full sweep. Pure — printing and exit codes are the binary's
-/// concern (and the tests').
-pub fn run_tiers(opts: &TiersOpts) -> TiersReport {
+/// Run the full sweep: one row per grid point, in declaration order,
+/// and every frame-conservation violation. Pure — printing and exit
+/// codes are the binary's concern (and the tests').
+pub fn run_tiers(opts: &TiersOpts) -> SweepReport {
     let grid = tiers_grid(opts);
     let outcomes: Vec<CellOutcome> = grid.par_iter().map(run_cell).collect();
 
@@ -247,7 +214,7 @@ pub fn run_tiers(opts: &TiersOpts) -> TiersReport {
         rows.push(o.row);
         violations.extend(o.violations);
     }
-    TiersReport { rows, violations }
+    SweepReport { rows, violations }
 }
 
 /// Render the sweep as a terminal table (one row per grid point).

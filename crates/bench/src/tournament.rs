@@ -25,7 +25,10 @@
 use rayon::prelude::*;
 use vulcan::prelude::*;
 use vulcan::runtime::{SimConfig, SimRunner};
+use vulcan::sim::MAX_TIERS;
 use vulcan_json::{Map, Value};
+
+use crate::{teardown_audit, SweepReport};
 
 /// Base seed for the origin run.
 const TOURNAMENT_SEED: u64 = 17;
@@ -163,7 +166,7 @@ struct ForkOutcome {
     p99_latency_ns: Option<f64>,
     cfi: f64,
     ops_total: u64,
-    used: Vec<u64>,
+    used: [u64; MAX_TIERS],
     violations: Vec<String>,
 }
 
@@ -178,32 +181,7 @@ fn run_fork(ck: &Value, kind: PolicyKind, knob: &Knob) -> Result<ForkOutcome, St
         runner.run_quantum();
     }
 
-    let chain: Vec<TierKind> = runner.state.machine.spec().chain().to_vec();
-    let used: Vec<u64> = TierKind::ALL
-        .iter()
-        .map(|&t| {
-            if chain.contains(&t) {
-                runner.state.machine.allocator(t).used_frames()
-            } else {
-                0
-            }
-        })
-        .collect();
-
-    let mut violations = Vec::new();
-    for w in 0..runner.state.workloads.len() {
-        runner.state.teardown(w);
-    }
-    for &tier in &chain {
-        let leaked = runner.state.machine.allocator(tier).used_frames();
-        if leaked != 0 {
-            violations.push(format!(
-                "{kind}/{}: {leaked} frames leaked at teardown on {}",
-                knob.name,
-                tier.name()
-            ));
-        }
-    }
+    let (used, violations) = teardown_audit(&mut runner.state, &format!("{kind}/{}", knob.name));
 
     let res = runner.into_result();
     let fthrs: Vec<f64> = res.per_workload.iter().map(|w| w.mean_fthr).collect();
@@ -227,18 +205,10 @@ fn run_fork(ck: &Value, kind: PolicyKind, knob: &Knob) -> Result<ForkOutcome, St
     })
 }
 
-/// Results of a tournament: ranked artifact rows plus every violation.
-pub struct TournamentReport {
-    /// One JSON row per (policy × knob) fork, ranked by mean FTHR.
-    pub rows: Vec<Value>,
-    /// Fork failures and frame-conservation violations; empty on a
-    /// passing tournament.
-    pub violations: Vec<String>,
-}
-
-/// Run the tournament. Pure — printing and exit codes are the binary's
-/// concern (and the tests').
-pub fn run_tournament(opts: &TournamentOpts) -> TournamentReport {
+/// Run the tournament: one row per (policy × knob) fork, ranked by mean
+/// FTHR, and every fork failure and frame-conservation violation. Pure
+/// — printing and exit codes are the binary's concern (and the tests').
+pub fn run_tournament(opts: &TournamentOpts) -> SweepReport {
     // The common prefix: one origin run to the fork quantum. The full
     // horizon goes into the config — the checkpoint carries it, so
     // every fork knows how many quanta remain.
@@ -261,7 +231,7 @@ pub fn run_tournament(opts: &TournamentOpts) -> TournamentReport {
     let ck = match origin.checkpoint() {
         Ok(v) => v,
         Err(e) => {
-            return TournamentReport {
+            return SweepReport {
                 rows: Vec::new(),
                 violations: vec![format!("origin checkpoint failed: {e}")],
             }
@@ -297,7 +267,7 @@ pub fn run_tournament(opts: &TournamentOpts) -> TournamentReport {
     let reference = forks
         .iter()
         .find(|f| f.policy == origin_name && f.knob == "baseline")
-        .map(|f| (f.mean_fthr, f.jain_fthr, f.p99_latency_ns, f.used.clone()));
+        .map(|f| (f.mean_fthr, f.jain_fthr, f.p99_latency_ns, f.used));
 
     // Rank by mean FTHR, ties broken by (policy, knob) for determinism.
     let mut order: Vec<usize> = (0..forks.len()).collect();
@@ -350,7 +320,7 @@ pub fn run_tournament(opts: &TournamentOpts) -> TournamentReport {
             Value::Object(m)
         })
         .collect();
-    TournamentReport { rows, violations }
+    SweepReport { rows, violations }
 }
 
 /// Render the tournament as a terminal table, ranked rows first.
@@ -460,7 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn rows_are_identical_across_reruns_and_shard_counts() {
+    fn rows_are_identical_across_reruns() {
         let a = run_tournament(&tiny());
         let b = run_tournament(&tiny());
         assert_eq!(a.rows.len(), b.rows.len());

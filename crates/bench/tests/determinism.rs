@@ -5,13 +5,14 @@
 
 use rayon::pool;
 use vulcan::prelude::*;
+use vulcan_bench::figures::{fig10_grid, thp_grid};
 use vulcan_bench::save_json;
-use vulcan_bench::suite::{fig10_grid, thp_grid, SuiteOpts};
+use vulcan_bench::suite::SuiteOpts;
 use vulcan_json::{Map, Value};
 
-/// Render a grid's results the way the figure binaries do: one JSON row
-/// per cell with every scalar the artifacts derive from (policy, seed,
-/// CFI, per-workload totals) plus the full time series.
+/// One JSON row per cell with every scalar the figure artifacts derive
+/// from (policy, seed, CFI, per-workload totals) plus the full time
+/// series, so any divergence a figure could show shows here.
 fn artifact_rows(results: &[RunResult], seeds: &[u64]) -> Vec<Value> {
     results
         .iter()
@@ -120,7 +121,7 @@ fn hot_path_grids_are_run_to_run_deterministic() {
 }
 
 #[test]
-fn tiers_rows_are_identical_across_shard_counts() {
+fn quick_tiers_sweep_upholds_its_contract() {
     // The quick chain-shape sweep over 2- and 3-tier machines
     // conserves frames on every chain tier and upholds its contract.
     use vulcan_bench::tiers::{run_tiers, TiersOpts};
@@ -134,7 +135,7 @@ fn tiers_rows_are_identical_across_shard_counts() {
 }
 
 #[test]
-fn churn_rows_are_identical_across_shard_counts() {
+fn quick_churn_sweep_upholds_its_contract() {
     // The quick churn sweep steps cells through the typed QuantumOutcome
     // API and upholds its contract, rate-0 controls included.
     use vulcan_bench::churn::{run_churn, ChurnOpts};

@@ -79,7 +79,7 @@ fn engine(seed: u64, n_quanta: u64) -> ChurnEngine {
 /// checkpoint positions including quantum 0 (before the first step) —
 /// the artifact text itself must match, not just the tallies.
 #[test]
-fn mid_churn_identity_shards_1_and_4() {
+fn mid_churn_identity() {
     let n_quanta = 24;
     let straight = engine(42, n_quanta).run();
     let straight_json = straight.to_value().to_json();

@@ -411,37 +411,15 @@ impl SimRunner {
         if cfg.faults.any_enabled() {
             state.machine.faults = FaultPlan::new(cfg.seed, cfg.faults.clone());
         }
-        let tel = &cfg.telemetry;
-        let (ops_counter, fast_hits_counter, slow_hits_counter, quanta_counter) = (
-            tel.counter("sim.ops"),
-            tel.counter("sim.accesses.fast"),
-            tel.counter("sim.accesses.slow"),
-            tel.counter("sim.quanta"),
-        );
-        // Per-quantum mean op latency distribution (ns).
-        let lat_hist = tel.histogram(
-            "quantum.mean_latency_ns",
-            &[100, 300, 1_000, 3_000, 10_000, 30_000, 100_000],
-        );
-        let fault_injected = FAULT_INJECTED_NAMES.map(|n| tel.counter(n));
-        let fault_recovered = FAULT_RECOVERED_NAMES.map(|n| tel.counter(n));
-        SimRunner {
+        SimRunner::assemble(
+            cfg,
             state,
             policy,
-            cfg,
-            profiler_factory: make_profiler,
-            series: SeriesSet::new(),
-            cfi: CfiAccumulator::new(n),
-            planes: StatPlanes::new(n),
-            ops_counter,
-            fast_hits_counter,
-            slow_hits_counter,
-            quanta_counter,
-            lat_hist,
-            fault_injected,
-            fault_recovered,
-            published_faults: FaultStats::default(),
-        }
+            make_profiler,
+            SeriesSet::new(),
+            CfiAccumulator::new(n),
+            StatPlanes::new(n),
+        )
     }
 
     /// Serialize the runner's complete state as a versioned checkpoint
@@ -591,8 +569,9 @@ impl SimRunner {
         Ok((cfg, state, series, cfi, planes))
     }
 
-    /// Wire restored parts into a runner (telemetry counters rebuilt
-    /// against the restored — disabled — sink).
+    /// Wire a state and its accumulators into a runner, registering the
+    /// telemetry counters against `cfg`'s sink (a restored run's is
+    /// disabled).
     fn assemble(
         cfg: SimConfig,
         state: SystemState,
@@ -609,6 +588,7 @@ impl SimRunner {
             tel.counter("sim.accesses.slow"),
             tel.counter("sim.quanta"),
         );
+        // Per-quantum mean op latency distribution (ns).
         let lat_hist = tel.histogram(
             "quantum.mean_latency_ns",
             &[100, 300, 1_000, 3_000, 10_000, 30_000, 100_000],
@@ -852,7 +832,6 @@ impl SimRunner {
     fn record_quantum(&mut self) -> QuantumOutcome {
         let st = &mut self.state;
         let t = st.now.as_secs_f64();
-        let wall_secs = self.cfg.quantum_wall.as_secs_f64();
         let started_count = st.workloads.iter().filter(|w| w.started).count().max(1);
         let gfmc = st.machine.allocator(TierKind::Fast).capacity() as f64 / started_count as f64;
 
@@ -940,7 +919,6 @@ impl SimRunner {
                     self.series.entry(&format!("{name}.{suffix}")).push(t, v);
                 }
             }
-            let _ = wall_secs;
         }
         // CFI is accumulated over the full-co-location window: fairness
         // among N workloads is only defined once all N compete (solo

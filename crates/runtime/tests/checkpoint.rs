@@ -113,7 +113,7 @@ fn identity_static_policy_shards_1() {
 }
 
 #[test]
-fn identity_uniform_policy_shards_1_and_4() {
+fn identity_uniform_policy() {
     assert_identity(
         &Cell {
             policy: || Box::new(UniformPartition),
